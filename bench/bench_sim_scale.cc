@@ -1,7 +1,7 @@
 // Million-flow simulator-core scaling. Two parts:
 //
-//  1. Scheduler microbench: the in-tree calendar EventQueue against the
-//     original binary-heap scheduler (bench/harness/heap_event_queue.h) on a
+//  1. Scheduler microbench: the in-tree pooled-heap EventQueue against the
+//     original std::function heap scheduler (bench/harness/heap_event_queue.h) on a
 //     sim-shaped timer workload — per-flow self-rescheduling ack timers, and
 //     a variant where every ack also cancels and re-arms the flow's RTO timer
 //     (exactly what Sender does). Both queues run the identical deterministic
@@ -48,7 +48,7 @@ uint64_t MixDigest(uint64_t h, uint64_t v) {
 // every ~[50us, 2ms] (deterministic per-flow LCG), and in churn mode an RTO
 // timer at +300ms that every firing cancels and re-arms — so cancelled
 // entries dominate, which is precisely where the heap's linear cancel scan
-// collapses and the calendar queue's pooled O(1) Cancel does not.
+// collapses and the in-tree queue's pooled O(1) Cancel does not.
 template <typename Queue>
 class TimerWorkload {
  public:
@@ -132,7 +132,7 @@ SchedulerRun DriveScheduler(size_t flows, uint64_t target, double wall_cap_s,
 struct SchedulerRow {
   size_t flows = 0;
   const char* workload = nullptr;
-  SchedulerRun calendar;
+  SchedulerRun event_queue;
   SchedulerRun seed_heap;
   double speedup = 0.0;
   bool digest_match = false;  // only meaningful when neither run was capped
@@ -160,7 +160,7 @@ int Main(int argc, char** argv) {
   }
   const bool quick = QuickMode(argc, argv);
   PrintBenchHeader("SimScale",
-                   "Calendar event queue vs seed heap; sharded million-flow scenarios");
+                   "Pooled event queue vs seed heap; sharded million-flow scenarios");
 
   // ---- Part 1: scheduler microbench.
   const std::vector<size_t> sched_sizes =
@@ -177,18 +177,18 @@ int Main(int argc, char** argv) {
       SchedulerRow row;
       row.flows = flows;
       row.workload = churn ? "rto_churn" : "steady";
-      row.calendar = DriveScheduler<EventQueue>(flows, target, wall_cap_s, churn);
+      row.event_queue = DriveScheduler<EventQueue>(flows, target, wall_cap_s, churn);
       row.seed_heap = DriveScheduler<SeedHeapEventQueue>(flows, target, wall_cap_s, churn);
-      row.speedup = row.calendar.events_per_sec / row.seed_heap.events_per_sec;
-      row.digest_match = !row.calendar.capped && !row.seed_heap.capped &&
-                         row.calendar.digest == row.seed_heap.digest;
+      row.speedup = row.event_queue.events_per_sec / row.seed_heap.events_per_sec;
+      row.digest_match = !row.event_queue.capped && !row.seed_heap.capped &&
+                         row.event_queue.digest == row.seed_heap.digest;
       sched_rows.push_back(row);
-      std::printf("  scheduler %-9s %8zu flows: calendar %10.0f ev/s, seed heap %10.0f ev/s%s"
-                  " (%.1fx)%s\n",
-                  row.workload, flows, row.calendar.events_per_sec,
+      std::printf("  scheduler %-9s %8zu flows: event queue %10.0f ev/s, seed heap %10.0f"
+                  " ev/s%s (%.1fx)%s\n",
+                  row.workload, flows, row.event_queue.events_per_sec,
                   row.seed_heap.events_per_sec, row.seed_heap.capped ? " [capped]" : "",
                   row.speedup,
-                  row.digest_match ? "" : (row.seed_heap.capped || row.calendar.capped
+                  row.digest_match ? "" : (row.seed_heap.capped || row.event_queue.capped
                                                ? ""
                                                : "  DIGEST MISMATCH"));
       std::fflush(stdout);
@@ -275,14 +275,14 @@ int Main(int argc, char** argv) {
     std::fprintf(
         out,
         "    {\"flows\": %zu, \"workload\": \"%s\",\n"
-        "     \"calendar\": {\"events\": %llu, \"seconds\": %.3f, \"events_per_sec\": %.0f,"
+        "     \"event_queue\": {\"events\": %llu, \"seconds\": %.3f, \"events_per_sec\": %.0f,"
         " \"capped\": %s},\n"
         "     \"seed_heap\": {\"events\": %llu, \"seconds\": %.3f, \"events_per_sec\": %.0f,"
         " \"capped\": %s},\n"
         "     \"speedup\": %.2f, \"digest_match\": %s}%s\n",
-        row.flows, row.workload, static_cast<unsigned long long>(row.calendar.events),
-        row.calendar.seconds, row.calendar.events_per_sec,
-        row.calendar.capped ? "true" : "false",
+        row.flows, row.workload, static_cast<unsigned long long>(row.event_queue.events),
+        row.event_queue.seconds, row.event_queue.events_per_sec,
+        row.event_queue.capped ? "true" : "false",
         static_cast<unsigned long long>(row.seed_heap.events), row.seed_heap.seconds,
         row.seed_heap.events_per_sec, row.seed_heap.capped ? "true" : "false", row.speedup,
         row.digest_match ? "true" : "false", i + 1 < sched_rows.size() ? "," : "");

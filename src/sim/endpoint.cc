@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -152,8 +151,7 @@ void Sender::Stop() {
   }
   running_ = false;
   stats_.stopped_at = events_->now();
-  ++mtp_generation_;  // disarm MTP clock
-  ++rto_generation_;  // disarm RTO
+  ++mtp_generation_;  // disarm MTP clock (a pending RTO check sees !running_)
 }
 
 uint64_t Sender::EffectiveCwnd() const {
@@ -323,30 +321,44 @@ TimeNs Sender::CurrentRto() const {
 }
 
 void Sender::ArmRtoTimer() {
-  const uint64_t gen = ++rto_generation_;
+  // One retransmit timer per sender, as Linux keeps one per socket: every arm
+  // moves the deadline to now + RTO, but a check event is scheduled only when
+  // none is pending or the deadline moved earlier. A check that fires before
+  // the deadline re-schedules itself at it (OnRtoCheck), so the timeout still
+  // fires at exactly last arm + RTO(last arm) while at most one RTO event per
+  // sender is ever pending. Ties follow the queue's FIFO rule: an ACK due in
+  // the same nanosecond as the check runs first when it was scheduled before
+  // the check was last (re)scheduled, and then it moves the deadline.
+  rto_deadline_ = events_->now() + CurrentRto();
+  if (rto_check_at_ < 0 || rto_deadline_ < rto_check_at_) {
+    ScheduleRtoCheck();
+  }
+}
+
+void Sender::ScheduleRtoCheck() {
+  if (rto_check_at_ >= 0) {
+    events_->Cancel(rto_check_);
+  }
+  rto_check_at_ = rto_deadline_;
   std::weak_ptr<Sender*> weak = alive_;
-  events_->ScheduleAfter(CurrentRto(), [weak, gen] {
+  rto_check_ = events_->Schedule(rto_deadline_, [weak] {
     if (auto alive = weak.lock()) {
-      (*alive)->OnRtoCheck(gen);
+      (*alive)->OnRtoCheck();
     }
   });
 }
 
-void Sender::OnRtoCheck(uint64_t generation) {
-  if (generation != rto_generation_ || !running_) {
+void Sender::OnRtoCheck() {
+  rto_check_at_ = -1;
+  if (!running_) {
+    return;
+  }
+  if (events_->now() < rto_deadline_) {
+    ScheduleRtoCheck();  // ACKs moved the deadline since this check was set
     return;
   }
   if (outstanding_.empty()) {
     return;  // nothing in flight; next send re-arms the timer via its ACK
-  }
-  if (events_->now() - last_ack_time_ < CurrentRto()) {
-    ArmRtoTimer();
-    return;
-  }
-  if (std::getenv("ASTRAEA_DEBUG_RTO") != nullptr) {
-    std::fprintf(stderr, "RTO fire t=%.3f last_ack=%.3f rto=%.3f srtt=%.1fms outstanding=%zu\n",
-                 ToSeconds(events_->now()), ToSeconds(last_ack_time_),
-                 ToSeconds(CurrentRto()), ToMillis(meter_.srtt()), outstanding_.size());
   }
   // Timeout: write off everything outstanding.
   uint64_t lost = 0;

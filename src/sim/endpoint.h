@@ -154,7 +154,8 @@ class Sender {
   void DetectGapLosses(uint64_t acked_seq);
   TimeNs CurrentRto() const;
   void ArmRtoTimer();
-  void OnRtoCheck(uint64_t generation);
+  void ScheduleRtoCheck();
+  void OnRtoCheck();
   void MtpTick();
 
   EventQueue* events_;
@@ -183,7 +184,12 @@ class Sender {
   uint64_t interval_ce_bytes_ = 0;
   uint64_t interval_acked_bytes_ = 0;
   TimeNs last_ack_time_ = 0;
-  uint64_t rto_generation_ = 0;
+
+  // RTO: the deadline set by the last ArmRtoTimer() and the one pending check
+  // event (its time, -1 when none is pending, and its Cancel handle).
+  TimeNs rto_deadline_ = 0;
+  TimeNs rto_check_at_ = -1;
+  uint64_t rto_check_ = 0;
 
   // Paced-mode bookkeeping.
   bool pace_pending_ = false;

@@ -8,11 +8,16 @@
 
 namespace astraea {
 
-EventQueue::EventQueue() {
-  bucket_head_.assign(num_buckets_, kNil);
-  bucket_tail_.assign(num_buckets_, kNil);
-  occupied_.assign(num_buckets_ / 64, 0);
-}
+namespace {
+// Heap comparator: std::*_heap keep the "largest" on top, so ordering by
+// "fires later" puts the earliest (when, seq) at the front.
+struct FiresLater {
+  template <typename Entry>
+  bool operator()(const Entry& a, const Entry& b) const {
+    return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+  }
+};
+}  // namespace
 
 uint32_t EventQueue::AcquireSlot() {
   if (free_head_ != kNil) {
@@ -47,242 +52,46 @@ uint64_t EventQueue::Schedule(TimeNs when, Callback fn) {
   }
   ASTRAEA_CHECK(when >= now_);
 
-  // Grow the calendar when the population outruns the bucket array, and
-  // garbage-collect when lazily-cancelled slots dominate the live ones.
-  const size_t population = live_ + cancelled_pending_;
-  if ((population + 1 > 2 * num_buckets_ && num_buckets_ < kMaxBuckets) ||
-      (cancelled_pending_ > 64 && cancelled_pending_ > 2 * live_)) {
-    Rebuild();
+  // Garbage-collect when lazily-cancelled entries dominate the live ones.
+  if (cancelled_pending_ > 64 && cancelled_pending_ > 2 * live_) {
+    Compact();
   }
 
   const uint32_t idx = AcquireSlot();
   Slot& s = slot(idx);
-  s.when = when;
-  s.seq = next_seq_++;
-  s.cancelled = false;
   s.fn = std::move(fn);
   ++live_;
-  InsertActive(idx);
+  heap_.push_back(Entry{when, next_seq_++, idx});
+  std::push_heap(heap_.begin(), heap_.end(), FiresLater());
   return (static_cast<uint64_t>(s.gen) << 32) | idx;
 }
 
-void EventQueue::InsertActive(uint32_t idx) {
-  int64_t day = DayOf(slot(idx).when);
-  if (day < base_day_) {
-    // Only possible after a rotation jumped the window ahead of the clock and
-    // a nearer-term event arrived behind it: re-anchor the window at now.
-    Rebuild();
-    day = DayOf(slot(idx).when);  // width may have changed
-  }
-  if (day - base_day_ >= static_cast<int64_t>(num_buckets_)) {
-    PushOverflow(idx, day);
-  } else {
-    InsertBucket(idx, day);
-  }
-}
-
-void EventQueue::InsertBucket(uint32_t idx, int64_t day) {
-  const size_t mask = num_buckets_ - 1;
-  const size_t b = static_cast<size_t>(day) & mask;
-  Slot& s = slot(idx);
-  ++calendar_count_;
-  if (bucket_head_[b] == kNil) {
-    s.next = kNil;
-    bucket_head_[b] = bucket_tail_[b] = idx;
-    occupied_[b >> 6] |= (1ULL << (b & 63));
-    return;
-  }
-  // Fast path: sequence numbers increase monotonically, so same-time events
-  // and in-order schedules append at the tail in O(1).
-  Slot& tail = slot(bucket_tail_[b]);
-  if (tail.when < s.when || (tail.when == s.when && tail.seq < s.seq)) {
-    s.next = kNil;
-    tail.next = idx;
-    bucket_tail_[b] = idx;
-    return;
-  }
-  // Out-of-order (earlier `when`): sorted insert keeps the bucket in strict
-  // (when, seq) order so dispatch remains the global FIFO-tie-broken order.
-  uint32_t prev = kNil;
-  uint32_t cur = bucket_head_[b];
-  while (cur != kNil) {
-    const Slot& c = slot(cur);
-    if (c.when > s.when || (c.when == s.when && c.seq > s.seq)) {
-      break;
+void EventQueue::Compact() {
+  ++compactions_;
+  const auto cancelled = [this](const Entry& e) {
+    if (!slot(e.slot).cancelled) {
+      return false;
     }
-    prev = cur;
-    cur = c.next;
-  }
-  s.next = cur;
-  if (prev == kNil) {
-    bucket_head_[b] = idx;
-  } else {
-    slot(prev).next = idx;
-  }
-  if (cur == kNil) {
-    bucket_tail_[b] = idx;
-  }
-}
-
-void EventQueue::PushOverflow(uint32_t idx, int64_t day) {
-  slot(idx).next = overflow_head_;
-  overflow_head_ = idx;
-  if (overflow_count_ == 0 || day < overflow_min_day_) {
-    overflow_min_day_ = day;
-  }
-  ++overflow_count_;
-}
-
-void EventQueue::PullOverflow() {
-  const int64_t window_end = base_day_ + static_cast<int64_t>(num_buckets_);
-  uint32_t cur = overflow_head_;
-  overflow_head_ = kNil;
-  overflow_count_ = 0;
-  uint32_t keep_head = kNil;
-  size_t keep_count = 0;
-  int64_t keep_min = 0;
-  while (cur != kNil) {
-    const uint32_t next = slot(cur).next;
-    const int64_t day = DayOf(slot(cur).when);
-    if (day < window_end) {
-      ASTRAEA_CHECK(day >= base_day_);
-      InsertBucket(cur, day);
-    } else {
-      slot(cur).next = keep_head;
-      keep_head = cur;
-      if (keep_count == 0 || day < keep_min) {
-        keep_min = day;
-      }
-      ++keep_count;
-    }
-    cur = next;
-  }
-  overflow_head_ = keep_head;
-  overflow_count_ = keep_count;
-  overflow_min_day_ = keep_min;
-}
-
-int64_t EventQueue::ScanForDay() const {
-  const size_t mask = num_buckets_ - 1;
-  const size_t start = static_cast<size_t>(base_day_) & mask;
-  const size_t words = occupied_.size();
-  const size_t w0 = start >> 6;
-  const size_t b0 = start & 63;
-  for (size_t i = 0; i <= words; ++i) {
-    const size_t w = (w0 + i) % words;
-    uint64_t word = occupied_[w];
-    if (i == 0) {
-      word &= ~0ULL << b0;
-    } else if (i == words) {
-      word &= b0 == 0 ? 0 : ((1ULL << b0) - 1);  // wrap: the bits before start
-    }
-    if (word != 0) {
-      const size_t bucket = (w << 6) | static_cast<size_t>(__builtin_ctzll(word));
-      const size_t dist = (bucket + num_buckets_ - start) & mask;
-      return base_day_ + static_cast<int64_t>(dist);
-    }
-  }
-  ASTRAEA_CHECK(false && "ScanForDay on an empty calendar");
-  return 0;
-}
-
-uint32_t EventQueue::PopReady(TimeNs limit) {
-  for (;;) {
-    if (calendar_count_ == 0) {
-      if (overflow_count_ == 0) {
-        return kNil;
-      }
-      // Rotation: the window has fully drained; jump it to the overflow
-      // ladder's earliest day and pull the now-in-window events in.
-      base_day_ = overflow_min_day_;
-      ++rotations_;
-      PullOverflow();
-      continue;
-    }
-    if (num_buckets_ > kMinBuckets && live_ + cancelled_pending_ < num_buckets_ / 8) {
-      Rebuild();
-      continue;
-    }
-    const int64_t day = ScanForDay();
-    if (overflow_count_ > 0 && overflow_min_day_ <= day) {
-      // An overflow event is due no later than the calendar candidate; pull
-      // it in before deciding the minimum.
-      PullOverflow();
-      continue;
-    }
-    const size_t b = static_cast<size_t>(day) & (num_buckets_ - 1);
-    const uint32_t idx = bucket_head_[b];
-    Slot& s = slot(idx);
-    if (s.when > limit) {
-      return kNil;
-    }
-    bucket_head_[b] = s.next;
-    if (s.next == kNil) {
-      bucket_tail_[b] = kNil;
-      occupied_[b >> 6] &= ~(1ULL << (b & 63));
-    }
-    --calendar_count_;
-    base_day_ = day;  // all remaining events are on this day or later
-    if (s.cancelled) {
-      --cancelled_pending_;
-      FreeSlot(idx);
-      continue;
-    }
-    return idx;
-  }
-}
-
-void EventQueue::Rebuild() {
-  ++rebuilds_;
-  std::vector<uint32_t> items;
-  items.reserve(live_);
-  const auto collect = [&](uint32_t head) {
-    for (uint32_t cur = head; cur != kNil;) {
-      const uint32_t next = slot(cur).next;
-      if (slot(cur).cancelled) {
-        --cancelled_pending_;
-        FreeSlot(cur);
-      } else {
-        items.push_back(cur);
-      }
-      cur = next;
-    }
+    FreeSlot(e.slot);
+    return true;
   };
-  for (size_t b = 0; b < num_buckets_; ++b) {
-    collect(bucket_head_[b]);
-  }
-  collect(overflow_head_);
+  heap_.erase(std::remove_if(heap_.begin(), heap_.end(), cancelled), heap_.end());
+  cancelled_pending_ = 0;
+  std::make_heap(heap_.begin(), heap_.end(), FiresLater());
+}
 
-  TimeNs max_when = now_;
-  for (const uint32_t idx : items) {
-    max_when = std::max(max_when, slot(idx).when);
-  }
-
-  size_t target = kMinBuckets;
-  while (target < 2 * items.size() && target < kMaxBuckets) {
-    target <<= 1;
-  }
-  num_buckets_ = target;
-  // Width spans the full pending horizon, so after a rebuild every event fits
-  // the window and the overflow ladder starts empty.
-  width_ = (max_when - now_) / static_cast<TimeNs>(num_buckets_) + 1;
-  base_day_ = DayOf(now_);
-  bucket_head_.assign(num_buckets_, kNil);
-  bucket_tail_.assign(num_buckets_, kNil);
-  occupied_.assign(num_buckets_ / 64, 0);
-  calendar_count_ = 0;
-  overflow_head_ = kNil;
-  overflow_count_ = 0;
-  overflow_min_day_ = 0;
-
-  for (const uint32_t idx : items) {
-    const int64_t day = DayOf(slot(idx).when);
-    if (day - base_day_ >= static_cast<int64_t>(num_buckets_)) {
-      PushOverflow(idx, day);
-    } else {
-      InsertBucket(idx, day);
+bool EventQueue::PopReady(TimeNs limit, Entry* out) {
+  while (!heap_.empty() && heap_.front().when <= limit) {
+    *out = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), FiresLater());
+    heap_.pop_back();
+    if (!slot(out->slot).cancelled) {
+      return true;
     }
+    --cancelled_pending_;
+    FreeSlot(out->slot);
   }
+  return false;
 }
 
 void EventQueue::Cancel(uint64_t handle) {
@@ -301,43 +110,36 @@ void EventQueue::Cancel(uint64_t handle) {
   ++cancelled_pending_;
 }
 
-void EventQueue::Dispatch(uint32_t idx) {
-  Slot& s = slot(idx);
-  // Monotone dispatch: the calendar can only hand out nondecreasing times. A
+void EventQueue::Dispatch(const Entry& entry) {
+  // Monotone dispatch: the heap can only hand out nondecreasing times. A
   // violation here means the queue ordering itself is corrupt.
-  if (s.when < now_ && invariants::Enabled()) {
+  if (entry.when < now_ && invariants::Enabled()) {
     invariants::Report("event.monotone_dispatch",
-                       "dispatching event at " + std::to_string(s.when) +
+                       "dispatching event at " + std::to_string(entry.when) +
                            " ns after clock reached " + std::to_string(now_) + " ns");
   }
-  now_ = s.when;
+  now_ = entry.when;
   ++executed_;
   --live_;
   // Move the closure out and free the slot *before* invoking: the callback
   // may schedule new events, which may legitimately recycle this very slot.
-  Callback fn = std::move(s.fn);
-  FreeSlot(idx);
+  Callback fn = std::move(slot(entry.slot).fn);
+  FreeSlot(entry.slot);
   fn();
 }
 
 void EventQueue::RunUntil(TimeNs until) {
-  for (;;) {
-    const uint32_t idx = PopReady(until);
-    if (idx == kNil) {
-      break;
-    }
-    Dispatch(idx);
+  Entry entry{};
+  while (PopReady(until, &entry)) {
+    Dispatch(entry);
   }
   now_ = std::max(now_, until);
 }
 
 void EventQueue::RunAll() {
-  for (;;) {
-    const uint32_t idx = PopReady(std::numeric_limits<TimeNs>::max());
-    if (idx == kNil) {
-      break;
-    }
-    Dispatch(idx);
+  Entry entry{};
+  while (PopReady(std::numeric_limits<TimeNs>::max(), &entry)) {
+    Dispatch(entry);
   }
 }
 

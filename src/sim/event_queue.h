@@ -1,4 +1,4 @@
-// Discrete-event scheduler: a calendar queue over a slab-allocated event pool.
+// Discrete-event scheduler: a binary heap over a slab-allocated event pool.
 //
 // Events are (time, sequence, closure) triples executed in nondecreasing time
 // order; the monotonically increasing sequence number breaks ties FIFO, which
@@ -10,21 +10,13 @@
 //  * Event slots live in chunked slabs recycled through a freelist, so a
 //    schedule/dispatch pair costs index arithmetic — no allocation. Closures
 //    are stored inline in the slot (InlineFunction), so no malloc either.
+//  * Pending events are a std::vector binary heap of {when, seq, slot}
+//    entries ordered by (when, seq). Since seq is unique the order is total,
+//    so the heap dispatches exactly the FIFO-tie-broken order.
 //  * Schedule() returns a generation-stamped handle; Cancel() is an O(1)
-//    stamp check + flag write (the seed implementation kept a vector of
-//    cancelled ids and scanned it linearly on every dispatch — O(n²) under
-//    churny retransmit timers).
-//  * Pending events sit in a calendar: num_buckets_ (power of two) buckets of
-//    width_ nanoseconds each, covering the "window" of days
-//    [base_day_, base_day_ + num_buckets_). Each in-window day maps to a
-//    unique bucket; buckets are kept sorted by (when, seq) with an O(1)
-//    append fast path for the common monotone/tied insertion pattern.
-//    Events beyond the window wait in an unsorted overflow ladder and are
-//    pulled in a rotation when the window reaches them. An occupancy bitmap
-//    makes "find next nonempty bucket" a few word scans.
-//  * The calendar rebuilds (new bucket count/width from the live event count
-//    and time span) when the event population outgrows or undershoots the
-//    bucket array; amortized O(1) per operation.
+//    stamp check + flag write. The cancelled entry stays in the heap and is
+//    freed when it reaches the top, or earlier by a compaction once cancelled
+//    entries outnumber live ones two to one.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
@@ -43,7 +35,7 @@ class EventQueue {
  public:
   using Callback = InlineFunction<48>;
 
-  EventQueue();
+  EventQueue() = default;
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -69,79 +61,53 @@ class EventQueue {
   size_t pending() const { return live_; }
   uint64_t executed() const { return executed_; }
 
-  // Pool / calendar statistics for the sim.pool.* metrics gauges.
+  // Pool statistics for the sim.pool.* metrics gauges.
   size_t slot_capacity() const { return allocated_; }
   uint64_t slots_recycled() const { return recycled_; }
-  uint64_t calendar_rotations() const { return rotations_; }
-  uint64_t calendar_rebuilds() const { return rebuilds_; }
-  size_t bucket_count() const { return num_buckets_; }
+  // Kept for perfbench/workload_sim.cc (sched.rebuilds): counts compactions.
+  uint64_t calendar_rebuilds() const { return compactions_; }
+  // Kept for perfbench/workload_sim.cc (sched.rotations): a heap never rotates.
+  uint64_t calendar_rotations() const { return 0; }
+  // Kept for perfbench/workload_sim.cc (sched.buckets): the heap is one bucket.
+  size_t bucket_count() const { return 1; }
 
  private:
   static constexpr uint32_t kNil = 0xFFFFFFFFu;
   static constexpr size_t kChunkShift = 12;  // 4096 slots per slab
   static constexpr size_t kChunkSize = size_t{1} << kChunkShift;
-  static constexpr size_t kMinBuckets = 64;
-  static constexpr size_t kMaxBuckets = size_t{1} << 20;
 
   struct Slot {
-    TimeNs when = 0;
-    uint64_t seq = 0;    // FIFO tie-break, globally increasing
-    uint32_t next = kNil;  // intrusive link: bucket chain / overflow / freelist
-    uint32_t gen = 0;    // bumped on every free; stamps Cancel handles
+    uint32_t next = kNil;  // freelist link
+    uint32_t gen = 0;      // bumped on every free; stamps Cancel handles
     bool cancelled = false;
     Callback fn;
   };
 
-  Slot& slot(uint32_t idx) { return chunks_[idx >> kChunkShift][idx & (kChunkSize - 1)]; }
-  const Slot& slot(uint32_t idx) const {
-    return chunks_[idx >> kChunkShift][idx & (kChunkSize - 1)];
-  }
+  struct Entry {
+    TimeNs when;
+    uint64_t seq;  // FIFO tie-break, globally increasing
+    uint32_t slot;
+  };
 
-  int64_t DayOf(TimeNs when) const { return static_cast<int64_t>(when / width_); }
+  Slot& slot(uint32_t idx) { return chunks_[idx >> kChunkShift][idx & (kChunkSize - 1)]; }
 
   uint32_t AcquireSlot();
   void FreeSlot(uint32_t idx);
 
-  // Places an active slot into its bucket (sorted) or the overflow ladder.
-  void InsertActive(uint32_t idx);
-  void InsertBucket(uint32_t idx, int64_t day);
-  void PushOverflow(uint32_t idx, int64_t day);
+  // Drops every cancelled entry from the heap and frees its slot.
+  void Compact();
 
-  // Moves every overflow event whose day now falls inside the window into its
-  // bucket and recomputes the overflow minimum.
-  void PullOverflow();
+  // Pops the minimal (when, seq) live entry with when <= limit into `out`,
+  // freeing cancelled entries on the way. False when none qualifies.
+  bool PopReady(TimeNs limit, Entry* out);
 
-  // Pops the globally minimal (when, seq) event with when <= limit, skipping
-  // and freeing cancelled slots. Returns kNil when none qualifies.
-  uint32_t PopReady(TimeNs limit);
-
-  // Rebuilds the calendar: re-derives bucket count and width from the live
-  // population and its time span, drops cancelled slots, reinserts the rest.
-  void Rebuild();
-
-  // Dispatch loop shared by RunUntil/RunAll.
-  void Dispatch(uint32_t idx);
-
-  // Finds the first occupied bucket at circular distance >= base_day_'s
-  // bucket; requires calendar_count_ > 0. Returns the day it represents.
-  int64_t ScanForDay() const;
+  void Dispatch(const Entry& entry);
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   uint32_t free_head_ = kNil;
   uint32_t allocated_ = 0;  // high-water slot count
 
-  std::vector<uint32_t> bucket_head_;
-  std::vector<uint32_t> bucket_tail_;
-  std::vector<uint64_t> occupied_;  // bitmap over buckets
-  size_t num_buckets_ = kMinBuckets;
-  TimeNs width_ = 1;
-  int64_t base_day_ = 0;  // window start; every bucketed event's day is in
-                          // [base_day_, base_day_ + num_buckets_)
-  size_t calendar_count_ = 0;  // slots in buckets (incl. cancelled)
-
-  uint32_t overflow_head_ = kNil;
-  size_t overflow_count_ = 0;
-  int64_t overflow_min_day_ = 0;  // valid when overflow_count_ > 0
+  std::vector<Entry> heap_;  // includes cancelled entries not yet popped
 
   size_t live_ = 0;  // scheduled, not cancelled, not yet executed
   size_t cancelled_pending_ = 0;
@@ -150,8 +116,7 @@ class EventQueue {
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
   uint64_t recycled_ = 0;
-  uint64_t rotations_ = 0;
-  uint64_t rebuilds_ = 0;
+  uint64_t compactions_ = 0;
 };
 
 }  // namespace astraea

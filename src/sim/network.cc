@@ -138,11 +138,6 @@ void Network::PublishPoolMetrics() const {
   metrics.GetGauge("sim.pool.events_capacity").Set(static_cast<double>(events_.slot_capacity()));
   metrics.GetGauge("sim.pool.events_recycled_total")
       .Set(static_cast<double>(events_.slots_recycled()));
-  metrics.GetGauge("sim.pool.calendar_buckets").Set(static_cast<double>(events_.bucket_count()));
-  metrics.GetGauge("sim.pool.calendar_rotations")
-      .Set(static_cast<double>(events_.calendar_rotations()));
-  metrics.GetGauge("sim.pool.calendar_rebuilds")
-      .Set(static_cast<double>(events_.calendar_rebuilds()));
   // Pre-register the invariant counters so a clean scrape shows explicit
   // zeros rather than missing keys (the checker only registers on first
   // violation).

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "src/sim/network.h"
+#include "src/sim/trace.h"
 
 namespace astraea {
 namespace {
@@ -132,11 +135,97 @@ TEST(SenderTest, RtoFiresWhenEverythingIsLost) {
   LinkConfig link = DefaultLink();
   link.random_loss = 1.0;  // black hole
   TestNet t(link, 10 * 1500);
+  Tracer tracer("", Tracer::Format::kNone);
+  t.net->SetTracer(&tracer);
   t.net->Run(Seconds(3.0));
   EXPECT_GT(t.controller->losses, 0);
   EXPECT_TRUE(t.controller->last_loss.is_timeout);
   // Everything written off was counted as lost.
   EXPECT_GT(t.net->flow_stats(0).bytes_lost, 0u);
+
+  // The timer is armed at Start() (t = 0) and re-armed by each fire. With no
+  // RTT sample the RTO stays at the initial 1 s, so every fire lands exactly
+  // on last arm + RTO: 1 s, 2 s and 3 s.
+  std::vector<TimeNs> fires;
+  TimeNs last_arm = 0;
+  for (const TraceEvent& ev : tracer.BufferedEvents()) {
+    if (ev.type != TraceEventType::kRtoFire) {
+      continue;
+    }
+    EXPECT_EQ(ev.b, 1000.0);  // rto_ms
+    EXPECT_EQ(ev.time, last_arm + Milliseconds(1000));
+    last_arm = ev.time;
+    fires.push_back(ev.time);
+  }
+  EXPECT_EQ(fires, (std::vector<TimeNs>{Seconds(1.0), Seconds(2.0), Seconds(3.0)}));
+}
+
+// A sender keeps at most one RTO event pending: an ACK moves the deadline
+// instead of scheduling another timer. Over a long lossless transfer the
+// pending population is then bounded by the window (one event per packet in
+// flight, on the link or on the ACK path) plus the MTP tick and the RTO
+// check. One timer per ACK would keep ACK rate x RTO (~130 here) stale
+// timers pending on top of that.
+TEST(SenderTest, PendingEventsStayBoundedWithOneRtoTimer) {
+  constexpr size_t kWindowPackets = 20;
+  TestNet t(DefaultLink(), kWindowPackets * 1500);
+  size_t max_pending = 0;
+  for (int step = 1; step <= 200; ++step) {
+    t.net->Run(Milliseconds(50) * step);  // 10 s in 50 ms slices
+    max_pending = std::max(max_pending, t.net->events().pending());
+  }
+  EXPECT_EQ(t.net->flow_stats(0).bytes_lost, 0u);
+  EXPECT_GT(t.controller->acks, 6000);
+  EXPECT_LE(max_pending, kWindowPackets + 4);
+}
+
+// A sink that swallows data packets, so a test can deliver ACKs by hand at
+// exact times.
+class DiscardSink : public PacketSink {
+ public:
+  explicit DiscardSink(PacketPool* pool) : pool_(pool) {}
+  void Accept(PacketRef ref) override { pool_->Release(ref); }
+
+ private:
+  PacketPool* pool_;
+};
+
+// Same-nanosecond tie between an ACK and the RTO check: the queue runs them
+// in the order they were scheduled, and the check counts as scheduled when it
+// was last (re)scheduled, not at the last arm. Timeline (RTO = min_rto =
+// 200 ms throughout, 2-packet window):
+//   t=0    Start sends seq 0, 1; check set for the initial 1 s RTO.
+//   t=10   ACK seq 0 arms deadline 210 ms: earlier, so the check moves there.
+//          seq 2 is sent.
+//   t=20   ACK seq 1 arms deadline 220 ms: later, so nothing is scheduled.
+//          seq 3 is sent.
+//   t=210  The check fires early and re-schedules itself at 220 ms.
+//   t=220  ACK seq 2 and the check are both due.
+// An ACK scheduled before the re-schedule at 210 ms runs first and moves the
+// deadline; one scheduled after it finds seq 2 already written off.
+TEST(SenderTest, SameNanosecondAckVersusRtoCheckFollowsScheduleOrder) {
+  for (const TimeNs ack_scheduled_at : {Milliseconds(100), Milliseconds(215)}) {
+    EventQueue events;
+    PacketPool pool;
+    DiscardSink sink(&pool);
+    auto owned_cc = std::make_unique<FixedWindow>(2 * 1500);
+    FixedWindow* cc = owned_cc.get();
+    Sender sender(&events, &pool, 0, Route{&sink}, std::move(owned_cc), SenderConfig{});
+    sender.Start();
+    const auto ack_at = [&](TimeNs when, uint64_t seq, TimeNs sent) {
+      events.Schedule(when, [&sender, seq, sent] { sender.OnAckArrival(seq, sent, 1500); });
+    };
+    ack_at(Milliseconds(10), 0, 0);
+    ack_at(Milliseconds(20), 1, 0);
+    events.Schedule(ack_scheduled_at, [&] { ack_at(Milliseconds(220), 2, Milliseconds(10)); });
+    events.RunUntil(Milliseconds(220));
+
+    const bool ack_first = ack_scheduled_at < Milliseconds(210);
+    SCOPED_TRACE(ack_first ? "ACK scheduled before the check" : "check scheduled first");
+    EXPECT_EQ(cc->losses, ack_first ? 0 : 1);
+    EXPECT_EQ(cc->acks, ack_first ? 3 : 2);
+    EXPECT_EQ(sender.stats().bytes_lost, ack_first ? 0u : 2u * 1500);
+  }
 }
 
 // Regression for the zero-ACK report skew: a silent MTP used to pair

@@ -103,7 +103,7 @@ TEST(SimScaleTest, PoolGaugesPublishedAfterRun) {
   EXPECT_GT(metrics.GetGauge("sim.pool.packets_capacity").Value(), 0.0);
   EXPECT_GT(metrics.GetGauge("sim.pool.packets_recycled_total").Value(), 0.0);
   EXPECT_GT(metrics.GetGauge("sim.pool.events_recycled_total").Value(), 0.0);
-  EXPECT_GT(metrics.GetGauge("sim.pool.calendar_buckets").Value(), 0.0);
+  EXPECT_GT(metrics.GetGauge("sim.pool.events_capacity").Value(), 0.0);
   EXPECT_EQ(metrics.GetGauge("sim.pool.packets_live").Value(), 0.0);
 }
 
