@@ -145,7 +145,9 @@ void AstraeaController::OnMtpTick(const MtpReport& report) {
     action = std::clamp(hook_(view, action), -1.0, 1.0);
   }
   last_action_ = action;
-  cwnd_ = ApplyActionToCwnd(cwnd_, action, hp_.action_alpha, mss_);
+  const uint64_t bdp = BdpBytes(state_block_.thr_max_bps(), state_block_.lat_min());
+  const uint64_t cwnd_clamp = std::max<uint64_t>(kCwndClampBdpMultiple * bdp, 10ULL * mss_);
+  cwnd_ = std::min(ApplyActionToCwnd(cwnd_, action, hp_.action_alpha, mss_), cwnd_clamp);
   if (tracer_ != nullptr) {
     tracer_->Record(report.now, TraceEventType::kAction, trace_flow_id_, -1,
                     static_cast<uint64_t>(epoch_index), action,

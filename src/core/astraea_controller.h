@@ -24,6 +24,13 @@
 
 namespace astraea {
 
+// Upper bound on the agent's window, as a multiple of the flow's own measured
+// BDP (thr_max × lat_min from the state block); the bound is never below
+// 10 MSS. The simulator's counterpart of the kernel module's snd_cwnd_clamp:
+// without it, a policy that keeps choosing +1 (an untrained actor) grows cwnd
+// 2.5% per MTP forever and the simulation's work grows with it.
+inline constexpr uint64_t kCwndClampBdpMultiple = 16;
+
 // Training hook: receives the state view and the policy's proposed action;
 // returns the action to actually apply (e.g. with exploration noise).
 using ActionHook = std::function<double(const StateView& view, double proposed_action)>;

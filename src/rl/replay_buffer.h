@@ -28,9 +28,9 @@ struct Transition {
 };
 
 // Write side of experience collection. Environments push transitions through
-// this so the same MultiFlowEnv can feed the serial ReplayBuffer directly or
-// a per-actor staging vector that the vectorized trainer later interleaves
-// into its sharded buffer in a deterministic order.
+// this so the same MultiFlowEnv can feed a ReplayBuffer directly or a
+// per-actor staging vector that the vectorized trainer later interleaves into
+// its sharded buffer in a deterministic order.
 class TransitionSink {
  public:
   virtual ~TransitionSink() = default;
@@ -38,9 +38,10 @@ class TransitionSink {
 };
 
 // Read/sampling side consumed by Td3Trainer::Update. Implemented by the
-// serial ReplayBuffer and by the vectorized trainer's ShardedReplayBuffer;
-// both sample uniformly with replacement using the caller's Rng, so the
-// learner's random stream is identical whichever backing store is in use.
+// single-ring ReplayBuffer (also the shard type of the sharded buffer) and by
+// the vectorized trainer's ShardedReplayBuffer; both sample uniformly with
+// replacement using the caller's Rng, so the learner's random stream is
+// identical whichever backing store is in use.
 class ReplaySource {
  public:
   virtual ~ReplaySource() = default;

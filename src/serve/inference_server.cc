@@ -24,8 +24,8 @@ namespace serve {
 
 Mlp LoadActorFile(const std::string& path) {
   // Sniff the trailing footer magic to decide between the durable checkpoint
-  // container (Learner::SaveState-style) and the raw actor stream that
-  // astraea_train --out writes.
+  // container (the format VectorizedTrainer::SaveState writes) and the raw
+  // actor stream that astraea_train --out writes.
   bool container = false;
   {
     std::ifstream f(path, std::ios::binary | std::ios::ate);

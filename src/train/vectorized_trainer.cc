@@ -34,6 +34,10 @@ VectorizedTrainer::Metrics VectorizedTrainer::RegisterMetrics(size_t shards) {
             reg.GetGauge("train.exploration_noise"),
             reg.GetHistogram("train.round_seconds"),
             reg.GetHistogram("train.update_seconds"),
+            reg.GetHistogram("train.episode_reward"),
+            reg.GetHistogram("train.critic_loss"),
+            reg.GetHistogram("train.critic_grad_norm"),
+            reg.GetHistogram("train.actor_grad_norm"),
             {}};
   for (size_t s = 0; s < shards; ++s) {
     m.shard_occupancy.push_back(
@@ -180,6 +184,12 @@ void VectorizedTrainer::Train(
     metrics_.replay_size.Set(static_cast<double>(replay_->size()));
     for (size_t s = 0; s < replay_->shard_count(); ++s) {
       metrics_.shard_occupancy[s]->Set(static_cast<double>(replay_->shard_size(s)));
+    }
+    metrics_.episode_reward.Observe(total.mean_reward);
+    metrics_.critic_loss.Observe(last_td3.critic_loss);
+    metrics_.critic_grad_norm.Observe(last_td3.critic_grad_norm);
+    if (last_td3.actor_grad_norm > 0.0) {  // zero when no delayed actor step ran
+      metrics_.actor_grad_norm.Observe(last_td3.actor_grad_norm);
     }
 
     EpisodeDiagnostics diag;

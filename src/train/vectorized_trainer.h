@@ -1,21 +1,22 @@
-// Vectorized actor/learner training (DESIGN.md §14, ROADMAP item 5).
+// Vectorized actor/learner training (DESIGN.md §14): the repository's one
+// implementation of paper Algorithm 1 / Appendix A, where several environment
+// instances share one actor-critic and one replay buffer.
 //
-// N MultiFlowEnv actors run one model-update segment at a time on the PR-1
-// thread pool, each acting through a private snapshot of the shared actor
-// and drawing exploration noise from its own persistent splitmix-derived
-// stream. At the round barrier their staged transitions are dealt into the
-// sharded replay buffer by a deterministic round-robin interleave, then the
-// single TD3 learner performs its gradient steps from a central stream.
-// Because (a) per-actor randomness is keyed by actor index, not schedule,
-// (b) actors act on identical frozen weights within a round, and (c) the
-// interleave fixes the global transition order, training is bit-identical
-// for any worker count — the same argument PR-1/PR-6 use for the experiment
-// harness and sharded scenarios, applied to learning.
+// N MultiFlowEnv actors (N = 1 is the plain single-environment loop) run one
+// model-update segment at a time on the thread pool, each acting through a
+// private snapshot of the shared actor and drawing exploration noise from its
+// own persistent splitmix-derived stream. At the round barrier their staged
+// transitions are dealt into the sharded replay buffer by a deterministic
+// round-robin interleave, then the single TD3 learner performs its gradient
+// steps from a central stream. Because (a) per-actor randomness is keyed by
+// actor index, not schedule, (b) actors act on identical frozen weights
+// within a round, and (c) the interleave fixes the global transition order,
+// training is bit-identical for any worker count — the same argument the
+// experiment harness and sharded scenarios use, applied to learning.
 //
 // Checkpoints (magic "ASTV") carry the learner stream, trainer state,
 // sharded buffer with its interleave cursor, and every actor's stream +
-// episode cursor, so PR-2's kill-and-resume bit-identity survives
-// vectorization.
+// episode cursor, so kill-and-resume is bit-identical too.
 
 #ifndef SRC_TRAIN_VECTORIZED_TRAINER_H_
 #define SRC_TRAIN_VECTORIZED_TRAINER_H_
@@ -25,8 +26,8 @@
 #include <string>
 #include <vector>
 
-#include "src/core/learner.h"
 #include "src/core/multi_flow_env.h"
+#include "src/rl/td3.h"
 #include "src/train/domain_sampler.h"
 #include "src/train/sharded_replay.h"
 #include "src/util/metrics.h"
@@ -39,6 +40,16 @@ namespace astraea {
 // they never perturb a training stream.
 inline constexpr uint64_t kTrainActorSeedStream = 0xA57AEA04;
 inline constexpr uint64_t kTrainEvalSeedStream = 0xA57AEA05;
+
+// One row of training diagnostics per super-episode.
+struct EpisodeDiagnostics {
+  int episode = 0;
+  EpisodeStats env;      // reward means, averaged across actors
+  Td3Diagnostics td3;    // the last TD3 update of the super-episode
+  double eval_jain = -1.0;  // filled when an eval ran this episode
+  size_t replay_size = 0;   // replay-buffer occupancy after the episode
+  double exploration_noise = 0.0;  // noise std used this episode
+};
 
 struct VectorizedTrainerConfig {
   AstraeaHyperparameters hp;
@@ -63,10 +74,10 @@ class VectorizedTrainer {
   // across actors.
   void Train(int episodes, const std::function<void(const EpisodeDiagnostics&)>& on_episode);
 
-  // Deterministic 3-flow fairness evaluation (same scenario as
-  // Learner::EvaluateFairness) on a stream derived from the episode index —
-  // running it never perturbs training streams, so diagnostics cadence
-  // cannot change training results.
+  // Deterministic fairness evaluation: 3 staggered flows on a 100 Mbps /
+  // 40 ms link, average Jain index over the competition window. Runs on a
+  // stream derived from the episode index, so it never perturbs training
+  // streams and diagnostics cadence cannot change training results.
   double EvaluateFairness();
 
   Td3Trainer& trainer() { return *trainer_; }
@@ -103,7 +114,7 @@ class VectorizedTrainer {
 
   VectorizedTrainerConfig config_;
   DomainSampler sampler_;
-  Rng learner_rng_;  // weight init + TD3 batch sampling, like the serial Learner
+  Rng learner_rng_;  // weight init + TD3 batch sampling
   std::unique_ptr<Td3Trainer> trainer_;
   std::unique_ptr<ShardedReplayBuffer> replay_;
   std::vector<ActorSlot> slots_;
@@ -114,7 +125,7 @@ class VectorizedTrainer {
   uint64_t counted_stalls_ = 0;   // stalls already exported to the counter
 
   // All train.* metrics are registered at construction, so scrapes never
-  // race first-use (PR-6/PR-7 convention).
+  // race first-use.
   struct Metrics {
     Counter& episodes;
     Counter& rounds;
@@ -125,6 +136,10 @@ class VectorizedTrainer {
     Gauge& exploration_noise;
     Histogram& round_seconds;
     Histogram& update_seconds;
+    Histogram& episode_reward;
+    Histogram& critic_loss;
+    Histogram& critic_grad_norm;
+    Histogram& actor_grad_norm;
     std::vector<Gauge*> shard_occupancy;
   };
   static Metrics RegisterMetrics(size_t shards);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/core/astraea_controller.h"
 #include "src/sim/network.h"
 
@@ -307,6 +309,64 @@ TEST(AstraeaControllerTest, EndToEndSingleFlowFillsLink) {
   EXPECT_GT(thr, 92.0);
   const double rtt = net.flow_stats(0).rtt_ms.MeanOver(Seconds(5.0), Seconds(20.0));
   EXPECT_LT(rtt, 40.0);  // small standing queue (K packets)
+}
+
+// Always answers +1: the untrained actor that keeps growing its window.
+class AlwaysIncreasePolicy : public Policy {
+ public:
+  double Act(const StateView& /*view*/) const override { return 1.0; }
+  std::string name() const override { return "always-increase"; }
+};
+
+// Checks the window against the BDP clamp after every agent decision, with
+// the bound recomputed here from the state block rather than read from the
+// controller.
+class ClampCheckingController : public AstraeaController {
+ public:
+  explicit ClampCheckingController(int* binding_ticks)
+      : AstraeaController(std::make_shared<AlwaysIncreasePolicy>()),
+        binding_ticks_(binding_ticks) {}
+
+  void OnMtpTick(const MtpReport& report) override {
+    AstraeaController::OnMtpTick(report);
+    if (in_slow_start()) {
+      return;
+    }
+    const uint64_t bdp = BdpBytes(state_block().thr_max_bps(), state_block().lat_min());
+    const uint64_t bound = std::max<uint64_t>(kCwndClampBdpMultiple * bdp, 10ULL * 1500);
+    EXPECT_LE(cwnd_bytes(), bound) << "at " << ToSeconds(report.now) << " s";
+    if (!draining() && cwnd_bytes() == bound) {
+      ++*binding_ticks_;
+    }
+  }
+
+ private:
+  int* binding_ticks_;
+};
+
+TEST(AstraeaControllerTest, AlwaysIncreasingPolicyIsClampedAtBdpMultiple) {
+  // Unclamped, +1 every MTP grows cwnd 2.5% per 30 ms and the simulator's
+  // work doubles every simulated second (~1M events by 6 s on this link).
+  // Clamped, the window stops at kCwndClampBdpMultiple BDPs and the event
+  // rate stays flat.
+  Network net(1);
+  LinkConfig link;
+  link.rate = Mbps(60);
+  link.propagation_delay = Milliseconds(15);
+  link.buffer_bytes = BdpBytes(Mbps(60), Milliseconds(30));
+  net.AddLink(link);
+  int binding_ticks = 0;
+  FlowSpec spec;
+  spec.scheme = "astraea";
+  spec.make_cc = [&binding_ticks] {
+    return std::make_unique<ClampCheckingController>(&binding_ticks);
+  };
+  net.AddFlow(spec);
+  net.Run(Seconds(8.0));
+  EXPECT_GT(binding_ticks, 0);  // the clamp, not the link, bounded the window
+  // Clamped, the run dispatches ~0.38M events; unclamped, ~5.0M.
+  constexpr uint64_t kEventBudget = 1'000'000;
+  EXPECT_LT(net.events().executed(), kEventBudget);
 }
 
 }  // namespace

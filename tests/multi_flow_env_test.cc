@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "src/core/learner.h"
 #include "src/core/multi_flow_env.h"
+#include "src/train/vectorized_trainer.h"
 
 namespace astraea {
 namespace {
@@ -39,6 +39,7 @@ TEST(MultiFlowEnvTest, CollectsTransitionsWithCorrectShapes) {
   AstraeaHyperparameters hp;
   Rng rng(2);
   Td3Trainer trainer(EnvTd3Config(hp), &rng);
+  auto policy = std::make_shared<SnapshotActorPolicy>(&trainer.actor());
   ReplayBuffer buffer(10'000);
 
   EnvEpisodeConfig config;
@@ -50,7 +51,7 @@ TEST(MultiFlowEnvTest, CollectsTransitionsWithCorrectShapes) {
   config.flows.push_back({0, -1, 0});
   config.flows.push_back({Seconds(2.0), -1, 0});
 
-  MultiFlowEnv env(config, hp, &trainer, &buffer, 0.1, &rng);
+  MultiFlowEnv env(config, hp, policy, &buffer, 0.1, &rng);
   int update_calls = 0;
   const EpisodeStats stats = env.Run([&update_calls] { ++update_calls; });
 
@@ -74,6 +75,7 @@ TEST(MultiFlowEnvTest, RewardReflectsLinkUtilization) {
   AstraeaHyperparameters hp;
   Rng rng(4);
   Td3Trainer trainer(EnvTd3Config(hp), &rng);
+  auto policy = std::make_shared<SnapshotActorPolicy>(&trainer.actor());
   ReplayBuffer buffer(10'000);
 
   EnvEpisodeConfig config;
@@ -86,38 +88,39 @@ TEST(MultiFlowEnvTest, RewardReflectsLinkUtilization) {
 
   // Freeze exploration so the distilled-free actor still produces actions in
   // range; utilization comes from slow start + random actor behaviour.
-  MultiFlowEnv env(config, hp, &trainer, &buffer, 0.0, &rng);
+  MultiFlowEnv env(config, hp, policy, &buffer, 0.0, &rng);
   const EpisodeStats stats = env.Run({});
   EXPECT_GT(stats.mean_r_thr, 0.2);
 }
 
-TEST(LearnerTest, MultipleEnvInstancesFillBufferFaster) {
+TEST(TrainerTest, MultipleEnvInstancesFillBufferFaster) {
   auto buffer_fill = [](int instances) {
-    LearnerConfig config;
+    VectorizedTrainerConfig config;
     config.episode_length = Seconds(6.0);
-    config.env_instances = instances;
+    config.num_envs = instances;
     config.seed = 9;
-    Learner learner(config);
-    learner.Train(1, {});
-    return learner.buffer().size();
+    VectorizedTrainer trainer(config);
+    trainer.Train(1, {});
+    return trainer.replay().size();
   };
   const size_t one = buffer_fill(1);
   const size_t four = buffer_fill(4);
   EXPECT_GT(four, one * 2);  // ~4x the experience per episode
 }
 
-TEST(LearnerTest, TrainsWithoutCrashingAndFillsBuffer) {
-  LearnerConfig config;
+TEST(TrainerTest, TrainsWithoutCrashingAndFillsBuffer) {
+  VectorizedTrainerConfig config;
   config.episode_length = Seconds(8.0);
+  config.num_envs = 1;
   config.seed = 6;
-  Learner learner(config);
+  VectorizedTrainer trainer(config);
   int episodes_seen = 0;
-  learner.Train(2, [&](const EpisodeDiagnostics& d) {
+  trainer.Train(2, [&](const EpisodeDiagnostics& d) {
     ++episodes_seen;
     EXPECT_EQ(d.episode, episodes_seen);
   });
   EXPECT_EQ(episodes_seen, 2);
-  EXPECT_GT(learner.buffer().size(), 100u);
+  EXPECT_GT(trainer.replay().size(), 100u);
 }
 
 }  // namespace

@@ -167,8 +167,8 @@ TEST(VectorizedTrainerTest, MetricsAreRegisteredAtConstruction) {
 
 TEST(DomainSamplerTest, TableThreeConsumesNoExtraDraws) {
   // A TableThree sampler must leave the Rng stream exactly where the base
-  // SampleEpisode left it — that equivalence is what keeps the serial
-  // Learner's episode sequence byte-identical after the refactor.
+  // SampleEpisode left it — the default Table-3 domain draws nothing beyond
+  // the paper's episode ranges.
   DomainRanges ranges = DomainRanges::TableThree();
   DomainSampler sampler(ranges);
   Rng a(77);
