@@ -1,8 +1,8 @@
 // Figure 16 — CPU overhead and inference-service scalability, as
 // google-benchmark microbenchmarks:
 //   * per-MTP policy decision cost (distilled and MLP paths),
-//   * batched inference cost vs batch size (16a/16b: Astraea's shared batched
-//     service vs Orca's one-inference-per-flow design),
+//   * batched inference cost vs batch size (16a/16b: one batched forward pass
+//     over every flow vs Orca's one-inference-per-flow design),
 //   * simulator event throughput (harness sanity number).
 //
 // With --serve-json=PATH the binary additionally benchmarks the
@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -28,7 +29,6 @@
 #include <vector>
 
 #include "src/core/astraea_controller.h"
-#include "src/core/inference_service.h"
 #include "src/core/training_config.h"
 #include "src/ipc/shm_ring.h"
 #include "src/serve/inference_server.h"
@@ -81,11 +81,11 @@ void BM_DistilledPolicyDecision(benchmark::State& state) {
 }
 BENCHMARK(BM_DistilledPolicyDecision);
 
-// Fig. 16b: batched service — total cost of serving N flows in one batch.
+// Fig. 16b: batched inference — total cost of serving N flows in one batch.
 // Per-flow cost (time/N) drops as N grows, the sublinear-scaling claim.
-void BM_BatchedInferenceService(benchmark::State& state) {
+void BM_BatchedInference(benchmark::State& state) {
   const size_t flows = static_cast<size_t>(state.range(0));
-  InferenceService service(PaperActor());
+  const Mlp actor = PaperActor();
   Rng rng(3);
   std::vector<float> states;
   for (size_t i = 0; i < flows; ++i) {
@@ -93,12 +93,12 @@ void BM_BatchedInferenceService(benchmark::State& state) {
     states.insert(states.end(), s.begin(), s.end());
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(service.InferBatch(states, flows));
+    benchmark::DoNotOptimize(actor.InferBatch(states, flows));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(flows));
 }
-BENCHMARK(BM_BatchedInferenceService)->Arg(1)->Arg(10)->Arg(50)->Arg(100)->Arg(500)->Arg(1000);
+BENCHMARK(BM_BatchedInference)->Arg(1)->Arg(10)->Arg(50)->Arg(100)->Arg(500)->Arg(1000);
 
 // The Orca-style counterfactual: one independent inference pass per flow
 // (what the paper's Fig. 16b shows scaling linearly and exhausting 80 cores).
@@ -181,8 +181,12 @@ LatencyStats Summarize(std::vector<int64_t> latencies_ns, double wall_seconds,
   return stats;
 }
 
+// Seed stream for the serve clients' request states: client c draws from
+// Rng::DeriveSeed(kServeClientSeedStream, c), so every run sends the same inputs.
+constexpr uint64_t kServeClientSeedStream = 0x5E7CE;
+
 // One client worker: `requests` synchronous decisions over its own ring pair.
-void ServeClientWorker(const std::string& socket_path, int requests,
+void ServeClientWorker(const std::string& socket_path, int requests, int client_index,
                        std::vector<int64_t>* latencies_ns, std::atomic<uint64_t>* fallbacks) {
   serve::ServeClientConfig config;
   config.socket_path = socket_path;
@@ -192,7 +196,7 @@ void ServeClientWorker(const std::string& socket_path, int requests,
     fallbacks->fetch_add(static_cast<uint64_t>(requests));
     return;
   }
-  Rng rng(reinterpret_cast<uintptr_t>(latencies_ns));  // distinct per worker
+  Rng rng(Rng::DeriveSeed(kServeClientSeedStream, static_cast<uint64_t>(client_index)));
   latencies_ns->reserve(static_cast<size_t>(requests));
   const std::vector<float> state = RandomState(&rng);
   for (int i = 0; i < requests; ++i) {
@@ -266,6 +270,15 @@ int RunServingComparison(const std::string& json_path, bool quick) {
     }
     _exit(0);
   }
+  // Wait until the server listens: the child still has to load the model,
+  // and a client that connects before it does falls back for every request.
+  serve::ServeClientConfig probe;
+  probe.socket_path = socket_path;
+  const TimeNs ready_deadline = ipc::MonotonicNowNs() + Seconds(5);
+  while (serve::ServeClient::Connect(probe) == nullptr &&
+         ipc::MonotonicNowNs() < ready_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   const std::vector<int> client_counts = {1, 2, 4, 8, 16};
   std::vector<LatencyStats> served;
@@ -275,7 +288,7 @@ int RunServingComparison(const std::string& json_path, bool quick) {
     std::vector<std::thread> threads;
     const TimeNs start = ipc::MonotonicNowNs();
     for (int c = 0; c < clients; ++c) {
-      threads.emplace_back(ServeClientWorker, socket_path, requests, &latencies[c], &fallbacks);
+      threads.emplace_back(ServeClientWorker, socket_path, requests, c, &latencies[c], &fallbacks);
     }
     for (std::thread& t : threads) {
       t.join();

@@ -1,7 +1,7 @@
 // Kernel and harness performance trajectory for this repo: per-step actor
 // inference latency, TD3 training throughput on the batched vs the per-sample
-// reference path, batched inference-service cost, and parallel experiment
-// harness scenario throughput (1 worker vs all cores).
+// reference path, and parallel experiment harness scenario throughput
+// (1 worker vs all cores).
 //
 // Prints a table and emits BENCH_kernels.json (override with --out=PATH) so
 // successive PRs can track the numbers. `--quick` shrinks the harness stage.
@@ -14,7 +14,6 @@
 
 #include "bench/harness/experiments.h"
 #include "bench/harness/table.h"
-#include "src/core/inference_service.h"
 #include "src/rl/replay_buffer.h"
 #include "src/rl/td3.h"
 #include "src/util/thread_pool.h"
@@ -124,18 +123,6 @@ int Main(int argc, char** argv) {
   const double fwd_batch_s =
       TimePerCall(0.3, [&] { actor.ForwardBatch(batch_states, kTrainBatch); });
 
-  // ---- Inference-service flush at 256 pending flows.
-  InferenceService service(PaperActor());
-  const double flush_s = TimePerCall(0.3, [&] {
-    for (size_t i = 0; i < kTrainBatch; ++i) {
-      service.Submit(
-          std::vector<float>(batch_states.begin() + static_cast<long>(i * kLocalDim),
-                             batch_states.begin() + static_cast<long>((i + 1) * kLocalDim)),
-          [](double) {});
-    }
-    service.Flush();
-  });
-
   // ---- TD3 training throughput: batched kernels vs per-sample reference.
   Td3Trainer batched = MakeTrainer(3);
   ReplayBuffer buffer = MakeBuffer(4);
@@ -171,8 +158,6 @@ int Main(int argc, char** argv) {
   table.AddRow({"actor inference (us/step)", ConsoleTable::Num(infer_s * 1e6)});
   table.AddRow({"actor ForwardBatch-256 (us/row)",
                 ConsoleTable::Num(fwd_batch_s * 1e6 / kTrainBatch)});
-  table.AddRow({"service flush-256 (us/flow)",
-                ConsoleTable::Num(flush_s * 1e6 / kTrainBatch)});
   table.AddRow({"TD3 updates/s (batched, B=256)", ConsoleTable::Num(1.0 / update_batched_s, 1)});
   table.AddRow(
       {"TD3 updates/s (reference, B=256)", ConsoleTable::Num(1.0 / update_reference_s, 1)});
@@ -193,7 +178,6 @@ int Main(int argc, char** argv) {
                "  \"host_cores\": %zu,\n"
                "  \"actor_infer_us\": %.3f,\n"
                "  \"actor_forward_batch256_us_per_row\": %.4f,\n"
-               "  \"service_flush256_us_per_flow\": %.4f,\n"
                "  \"td3_updates_per_sec_batched\": %.2f,\n"
                "  \"td3_updates_per_sec_reference\": %.2f,\n"
                "  \"td3_batched_speedup\": %.3f,\n"
@@ -206,10 +190,9 @@ int Main(int argc, char** argv) {
                "    \"scaling_efficiency\": %.3f\n"
                "  }\n"
                "}\n",
-               cores, infer_s * 1e6, fwd_batch_s * 1e6 / kTrainBatch,
-               flush_s * 1e6 / kTrainBatch, 1.0 / update_batched_s,
-               1.0 / update_reference_s, td3_speedup, harness_reps, cores, serial_s,
-               parallel_s, harness_speedup, scaling_efficiency);
+               cores, infer_s * 1e6, fwd_batch_s * 1e6 / kTrainBatch, 1.0 / update_batched_s,
+               1.0 / update_reference_s, td3_speedup, harness_reps, cores, serial_s, parallel_s,
+               harness_speedup, scaling_efficiency);
   std::fclose(out);
   std::printf("\nwrote %s\n", out_path.c_str());
   return 0;

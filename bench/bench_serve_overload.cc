@@ -42,6 +42,7 @@
 #include "src/util/metrics.h"
 #include "src/util/rng.h"
 #include "src/util/serialization.h"
+#include "src/util/stats.h"
 #include "src/util/time.h"
 
 namespace astraea {
@@ -91,18 +92,6 @@ size_t RaiseFdLimit() {
   setrlimit(RLIMIT_NOFILE, &rl);
   getrlimit(RLIMIT_NOFILE, &rl);
   return static_cast<size_t>(rl.rlim_cur);
-}
-
-double Percentile(std::vector<double> v, double q) {
-  if (v.empty()) {
-    return 0.0;
-  }
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
 }
 
 class ConstantPolicy : public Policy {
@@ -220,11 +209,11 @@ LoadPoint RunLoadPoint(std::vector<std::unique_ptr<ServeClient>>& clients, doubl
   }
   const double window_s = ToSeconds(until - cutoff);
   point.achieved_rps = window_s > 0 ? static_cast<double>(point.attempts) / window_s : 0.0;
-  point.served_p50 = Percentile(served_lat, 0.50);
-  point.served_p95 = Percentile(served_lat, 0.95);
-  point.served_p99 = Percentile(served_lat, 0.99);
-  point.shed_p50 = Percentile(shed_lat, 0.50);
-  point.shed_p95 = Percentile(shed_lat, 0.95);
+  point.served_p50 = Percentile(served_lat, 50.0);
+  point.served_p95 = Percentile(served_lat, 95.0);
+  point.served_p99 = Percentile(served_lat, 99.0);
+  point.shed_p50 = Percentile(shed_lat, 50.0);
+  point.shed_p95 = Percentile(shed_lat, 95.0);
   return point;
 }
 

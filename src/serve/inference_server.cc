@@ -23,9 +23,11 @@ namespace astraea {
 namespace serve {
 
 Mlp LoadActorFile(const std::string& path) {
-  // Sniff the trailing footer magic to decide between the durable checkpoint
-  // container (the format VectorizedTrainer::SaveState writes) and the raw
-  // actor stream that astraea_train --out writes.
+  // Sniff the trailing footer magic to decide between a durable checkpoint
+  // container (src/util/checkpoint.h) whose payload is an actor stream, and
+  // the raw actor stream that astraea_train --out writes. The container that
+  // VectorizedTrainer::SaveState writes holds a training state, not an actor,
+  // and Mlp::Load rejects it.
   bool container = false;
   {
     std::ifstream f(path, std::ios::binary | std::ios::ate);
@@ -126,13 +128,10 @@ void InferenceServer::Run() {
     const TimeNs now = ipc::MonotonicNowNs();
     const TimeNs deadline = pending_.front().enqueue_ns + config_.batch_window;
     // Clients are synchronous (one outstanding request each), so once every
-    // live client has a request pending, no more can arrive: flush now
-    // instead of burning the rest of the batch window on a full batch.
-    size_t live = 0;
-    for (const auto& client : clients_) {
-      live += client->dead ? 0 : 1;
-    }
-    if (pending_.size() >= config_.max_batch || pending_.size() >= live || now >= deadline) {
+    // client has a request pending, no more can arrive: flush now instead of
+    // burning the rest of the batch window on a full batch.
+    if (pending_.size() >= config_.max_batch || pending_.size() >= clients_.size() ||
+        now >= deadline) {
       FlushBatch();
     } else {
       // Sub-window spin: keep draining so late arrivals join this batch. The
@@ -248,9 +247,6 @@ void InferenceServer::DrainRequests() {
     for (size_t k = 0; k < n && pending_.size() < cap; ++k) {
       const size_t c = (start + k) % n;
       Client* client = clients_[c].get();
-      if (client->dead) {
-        continue;
-      }
       RequestRecord req{};
       if (!client->region->request.TryPop(&req, sizeof(req))) {
         continue;
@@ -384,7 +380,7 @@ void InferenceServer::MaybeReload() {
 void InferenceServer::ReapDeadClients() {
   bool changed = false;
   for (auto it = clients_.begin(); it != clients_.end();) {
-    if ((*it)->dead || !ipc::PeerAlive((*it)->sock)) {
+    if (!ipc::PeerAlive((*it)->sock)) {
       close((*it)->sock);
       it = clients_.erase(it);
       changed = true;

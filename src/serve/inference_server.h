@@ -4,9 +4,9 @@
 // channel, maps their shared-memory ring pairs, and runs a deadline batcher —
 // requests drained from all client rings are flushed through one batched
 // forward pass when either `max_batch` requests are pending or the oldest
-// pending request has waited `batch_window`. This is the same
-// flush-on-occupancy-or-deadline policy as the in-process InferenceService,
-// applied across process boundaries.
+// pending request has waited `batch_window`, or as soon as every connected
+// client has a request pending (clients are synchronous, so no more can
+// arrive). Clients run in other processes; this one batch answers them all.
 //
 // Hot reload: RequestReload() (wired to SIGHUP in tools/astraea_serve) makes
 // the loop re-load the actor from `model_path` between batches — never
@@ -123,7 +123,6 @@ class InferenceServer {
   struct Client {
     int sock = -1;
     ipc::MappedRegion region;
-    bool dead = false;
   };
   struct Pending {
     size_t client_index;

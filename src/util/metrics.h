@@ -1,5 +1,5 @@
 // Process-wide metrics registry: named counters, gauges and histograms that
-// any subsystem (learner, inference service, benches, tools) can bump without
+// any subsystem (trainer, inference server, benches, tools) can bump without
 // owning plumbing to a sink.
 //
 // Design:
