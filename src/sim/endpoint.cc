@@ -19,27 +19,35 @@ constexpr uint64_t kDeepAuditPeriod = 256;
 constexpr uint64_t kMaxSaneCwndBytes = 1ULL << 40;
 }  // namespace
 
+Receiver::Receiver(EventQueue* events, PacketPool* pool, Sender* sender,
+                   TimeNs ack_return_delay)
+    : pool_(pool), acks_(events, this, ack_return_delay) {
+  set_sender(sender);
+}
+
+void Receiver::set_sender(Sender* sender) {
+  sender_ = sender != nullptr ? sender->weak_handle() : std::weak_ptr<Sender*>();
+}
+
 void Receiver::Accept(PacketRef ref) {
   // Copy the ACK fields out and return the slot: the packet's life ends here.
   const Packet& pkt = pool_->Get(ref);
-  const uint64_t seq = pkt.seq;
-  const TimeNs sent = pkt.sent_time;
-  const uint32_t size = pkt.size_bytes;
-  const bool ecn_ce = pkt.ecn_ce;
+  const Ack ack{pkt.seq, pkt.sent_time, pkt.size_bytes, pkt.ecn_ce};
   pool_->Release(ref);
-  received_bytes_ += size;
-  if (sender_ == nullptr) {
+  received_bytes_ += ack.size_bytes;
+  if (sender_.expired()) {
     return;
   }
-  // The reverse path is uncongested: deliver the ACK after a pure delay. The
-  // lambda holds only a weak handle — if the sender is torn down before the
-  // ACK lands, the handle has expired and the ACK is silently discarded.
-  std::weak_ptr<Sender*> weak = sender_->weak_handle();
-  events_->ScheduleAfter(ack_return_delay_, [weak, seq, sent, size, ecn_ce] {
-    if (auto alive = weak.lock()) {
-      (*alive)->OnAckArrival(seq, sent, size, ecn_ce);
-    }
-  });
+  // The reverse path is uncongested: the ACK arrives after a pure delay.
+  acks_.Push(ack);
+}
+
+void Receiver::AckArrived(const Ack& ack) {
+  // A sender torn down while this ACK was in flight has expired its handle;
+  // the ACK is then silently discarded.
+  if (auto alive = sender_.lock()) {
+    (*alive)->OnAckArrival(ack.seq, ack.sent_time, ack.size_bytes, ack.ecn_ce);
+  }
 }
 
 Sender::Sender(EventQueue* events, PacketPool* pool, int flow_id, Route data_route,

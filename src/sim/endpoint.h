@@ -15,6 +15,7 @@
 #include <string>
 
 #include "src/sim/congestion_controller.h"
+#include "src/sim/delay_line.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/flow_meter.h"
 #include "src/sim/packet.h"
@@ -27,13 +28,13 @@ namespace astraea {
 class Sender;
 
 // Terminal sink of a data route: acknowledges each packet back to the sender
-// after the configured reverse-path delay. The ACK-delivery lambda holds a
-// weak handle to the sender, so a sender destroyed while ACKs are in flight
-// (teardown mid-simulation) silently expires them instead of dangling.
+// after the configured reverse-path delay. ACKs wait in a DelayLine; the
+// receiver holds a weak handle to the sender and locks it once per ACK, so a
+// sender destroyed while ACKs are in flight (teardown mid-simulation)
+// silently expires them instead of dangling.
 class Receiver : public PacketSink {
  public:
-  Receiver(EventQueue* events, PacketPool* pool, Sender* sender, TimeNs ack_return_delay)
-      : events_(events), pool_(pool), sender_(sender), ack_return_delay_(ack_return_delay) {}
+  Receiver(EventQueue* events, PacketPool* pool, Sender* sender, TimeNs ack_return_delay);
 
   // Terminal hop: copies out the ACK fields and releases the packet slot.
   void Accept(PacketRef ref) override;
@@ -41,15 +42,23 @@ class Receiver : public PacketSink {
   // Late binding used by Network: the receiver must exist before the sender
   // (the data route ends with the receiver), so the back-pointer is set after
   // both are constructed.
-  void set_sender(Sender* sender) { sender_ = sender; }
+  void set_sender(Sender* sender);
 
   uint64_t received_bytes() const { return received_bytes_; }
 
  private:
-  EventQueue* events_;
+  struct Ack {
+    uint64_t seq = 0;
+    TimeNs sent_time = 0;
+    uint32_t size_bytes = 0;
+    bool ecn_ce = false;
+  };
+
+  void AckArrived(const Ack& ack);
+
   PacketPool* pool_;
-  Sender* sender_;
-  TimeNs ack_return_delay_;
+  std::weak_ptr<Sender*> sender_;  // expired (or never set): ACKs are dropped
+  DelayLine<Ack, Receiver, &Receiver::AckArrived> acks_;
   uint64_t received_bytes_ = 0;
 };
 
@@ -120,8 +129,9 @@ class Sender {
   TimeNs min_rtt() const { return meter_.min_rtt(); }
   const MtpReport& last_report() const { return last_report_; }
 
-  // Liveness token: scheduled lambdas (ACK delivery, timers) capture this
-  // weakly and no-op once the sender is destroyed. Expires in ~Sender().
+  // Liveness token: the Receiver (ACK delivery) and scheduled timer lambdas
+  // hold this weakly and no-op once the sender is destroyed. Expires in
+  // ~Sender().
   std::weak_ptr<Sender*> weak_handle() const { return alive_; }
 
   // Attaches an event tracer recording send/ack/loss/rto-fire/cwnd for this

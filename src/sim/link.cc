@@ -16,7 +16,11 @@ constexpr uint64_t kDeepAuditPeriod = 256;
 }  // namespace
 
 Link::Link(EventQueue* events, LinkConfig config, Rng rng, PacketPool* pool)
-    : events_(events), config_(std::move(config)), rng_(rng), pool_(pool) {
+    : events_(events),
+      config_(std::move(config)),
+      rng_(rng),
+      pool_(pool),
+      wire_(events, this, config_.propagation_delay) {
   ASTRAEA_CHECK(pool_ != nullptr);
   if (config_.trace != nullptr) {
     provider_ = config_.trace;
@@ -119,8 +123,7 @@ void Link::FinishService(PacketRef ref) {
     wire_lost_bytes_ += size;
     pool_->Release(ref);
   } else {
-    events_->ScheduleAfter(config_.propagation_delay,
-                           [this, ref] { ForwardToNextHop(*pool_, ref); });
+    wire_.Push(ref);
   }
   if (invariants::Enabled()) {
     // FIFO per flow: this link must deliver a flow's packets in the order the

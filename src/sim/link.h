@@ -9,6 +9,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "src/sim/delay_line.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/packet.h"
 #include "src/sim/packet_pool.h"
@@ -70,12 +71,16 @@ class Link : public PacketSink {
  private:
   void StartService(PacketRef ref);
   void FinishService(PacketRef ref);
+  // End of the propagation delay: hands the packet to its next hop.
+  void Propagated(const PacketRef& ref) { ForwardToNextHop(*pool_, ref); }
 
   EventQueue* events_;
   LinkConfig config_;
   std::shared_ptr<RateProvider> provider_;
   Rng rng_;
   PacketPool* pool_;
+  // Packets past service, in flight for config_.propagation_delay.
+  DelayLine<PacketRef, Link, &Link::Propagated> wire_;
 
   std::unique_ptr<QueueDiscipline> queue_;
   bool busy_ = false;

@@ -138,6 +138,10 @@ void Network::PublishPoolMetrics() const {
   metrics.GetGauge("sim.pool.events_capacity").Set(static_cast<double>(events_.slot_capacity()));
   metrics.GetGauge("sim.pool.events_recycled_total")
       .Set(static_cast<double>(events_.slots_recycled()));
+  // Scheduler health: the heap's high-water size, and the deepest
+  // constant-delay line (packets or ACKs in flight behind one heap entry).
+  metrics.GetGauge("sim.sched.heap_max").Set(static_cast<double>(events_.heap_max()));
+  metrics.GetGauge("sim.lines.items_max").Set(static_cast<double>(events_.line_items_max()));
   // Pre-register the invariant counters so a clean scrape shows explicit
   // zeros rather than missing keys (the checker only registers on first
   // violation).

@@ -99,9 +99,10 @@ class Network {
 
   void SampleLinks();
 
-  // Publishes sim.pool.* gauges (and pre-registers invariants counters) to
-  // the global MetricsRegistry; called at the end of every Run() so
-  // --metrics-out scrapes see pool health without extra plumbing.
+  // Publishes the sim.pool.*, sim.sched.heap_max and sim.lines.items_max
+  // gauges (and pre-registers invariants counters) to the global
+  // MetricsRegistry; called at the end of every Run() so --metrics-out
+  // scrapes see pool and scheduler health without extra plumbing.
   void PublishPoolMetrics() const;
 
   // Declared before links/flows so packets outlive the components that hold

@@ -297,6 +297,8 @@ TEST(ServeChaosTest, SoakUnderCrashStormNeverBlowsADecisionBudget) {
   EXPECT_GE(total_reconnects, static_cast<uint64_t>(kClients) + 1)
       << "no client ever *re*-attached after a crash";
   std::remove(model_path.c_str());
+  // A server killed by the storm or the supervisor leaves its socket behind.
+  std::remove(socket_path.c_str());
 }
 
 }  // namespace

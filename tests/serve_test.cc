@@ -345,6 +345,8 @@ TEST(ServeTest, ServerCrashMidBatchDegradesEveryClient) {
   view.state_vector = state;
   EXPECT_EQ(policy.Act(view), -0.5);
   std::remove(model_path.c_str());
+  // The server died at the failpoint without unlinking its socket.
+  std::remove(socket_path.c_str());
 }
 
 TEST(ServeTest, HotReloadUnderLoadKeepsEveryResponseValid) {
