@@ -1,13 +1,14 @@
 // Million-flow simulator-core scaling. Two parts:
 //
-//  1. Scheduler microbench: the in-tree pooled-heap EventQueue against the
-//     original std::function heap scheduler (bench/harness/heap_event_queue.h) on a
-//     sim-shaped timer workload — per-flow self-rescheduling ack timers, and
-//     a variant where every ack also cancels and re-arms the flow's RTO timer
-//     (exactly what Sender does). Both queues run the identical deterministic
-//     event sequence; a digest over the first `target` firings cross-checks
-//     that the speedup is not a behaviour change. Slow configurations are
-//     wall-clock capped and reported as such.
+//  1. Scheduler microbench: the in-tree EventQueue (owner-held timers over a
+//     binary heap) against the original std::function heap scheduler
+//     (bench/harness/heap_event_queue.h) on a sim-shaped timer workload —
+//     per-flow self-re-arming ack timers, and a variant where every ack also
+//     re-arms the flow's RTO timer (the seed heap cancels and reschedules a
+//     closure instead). Both queues run the identical deterministic event
+//     sequence; a digest over the first `target` firings cross-checks that the
+//     speedup is not a behaviour change. Slow configurations are wall-clock
+//     capped and reported as such.
 //
 //  2. End-to-end sharded scenarios: RunShardedDumbbell at 1k/10k/100k/1M
 //     total flows (cubic, independent bottlenecks), reporting events/sec and
@@ -21,6 +22,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -46,43 +48,29 @@ uint64_t MixDigest(uint64_t h, uint64_t v) {
 
 // Per-flow timer churn mirroring the sender: an ack-clocked timer firing
 // every ~[50us, 2ms] (deterministic per-flow LCG), and in churn mode an RTO
-// timer at +300ms that every firing cancels and re-arms — so cancelled
-// entries dominate, which is precisely where the heap's linear cancel scan
-// collapses and the in-tree queue's pooled O(1) Cancel does not.
-template <typename Queue>
-class TimerWorkload {
+// timer at +300ms that every firing moves later — so stale RTO entries
+// dominate, which is precisely where the seed heap's linear cancel scan
+// collapses and the in-tree queue's re-arm (the old entry turns dead and is
+// dropped lazily) does not. One driver per queue runs the same sequence.
+class FlowClocks {
  public:
-  TimerWorkload(size_t flows, uint64_t digest_events, bool rto_churn)
-      : digest_events_(digest_events), rto_churn_(rto_churn), prng_(flows), rto_(flows, 0) {
+  FlowClocks(size_t flows, uint64_t digest_events) : digest_events_(digest_events), prng_(flows) {
     for (size_t i = 0; i < flows; ++i) {
       prng_[i] = Rng::DeriveSeed(0xBE9C5CA1EULL, i);
-      ScheduleAck(i);
-      if (rto_churn_) {
-        rto_[i] = queue_.Schedule(queue_.now() + kRtoDelay, [] {});
-      }
     }
   }
 
-  Queue& queue() { return queue_; }
   uint64_t digest() const { return digest_; }
 
- private:
+ protected:
   static constexpr TimeNs kRtoDelay = Milliseconds(300);
 
-  void ScheduleAck(size_t flow) {
-    queue_.ScheduleAfter(NextDelay(flow), [this, flow] { Fire(flow); });
-  }
-
-  void Fire(size_t flow) {
+  // Folds an ack firing of `flow` at `now` into the digest.
+  void Record(TimeNs now, size_t flow) {
     if (fires_ < digest_events_) {
-      digest_ = MixDigest(digest_, (static_cast<uint64_t>(queue_.now()) << 8) ^ flow);
+      digest_ = MixDigest(digest_, (static_cast<uint64_t>(now) << 8) ^ flow);
     }
     ++fires_;
-    if (rto_churn_) {
-      queue_.Cancel(rto_[flow]);
-      rto_[flow] = queue_.ScheduleAfter(kRtoDelay, [] {});
-    }
-    ScheduleAck(flow);
   }
 
   TimeNs NextDelay(size_t flow) {
@@ -91,13 +79,88 @@ class TimerWorkload {
     return Microseconds(50) + static_cast<TimeNs>((x >> 33) % 1'950'000);
   }
 
-  Queue queue_;
+ private:
   const uint64_t digest_events_;
-  const bool rto_churn_;
   std::vector<uint64_t> prng_;
-  std::vector<uint64_t> rto_;
   uint64_t fires_ = 0;
   uint64_t digest_ = 0;
+};
+
+// The in-tree queue: each flow owns an ack timer and an RTO timer, both
+// re-armed in place.
+class TimerWorkload : public FlowClocks {
+ public:
+  TimerWorkload(size_t flows, uint64_t digest_events, bool rto_churn)
+      : FlowClocks(flows, digest_events), rto_churn_(rto_churn) {
+    for (size_t i = 0; i < flows; ++i) {
+      Flow& flow = flows_.emplace_back(this, i);
+      flow.ack.Arm(queue_.now() + NextDelay(i));
+      if (rto_churn_) {
+        flow.rto.Arm(queue_.now() + kRtoDelay);
+      }
+    }
+  }
+
+  EventQueue& queue() { return queue_; }
+
+ private:
+  struct Flow {
+    Flow(TimerWorkload* owner, size_t i)
+        : workload(owner), index(i), ack(&owner->queue_, this), rto(&owner->queue_, this) {}
+    void AckFired() { workload->Fire(*this); }
+    void RtoFired() {}
+
+    TimerWorkload* workload;
+    size_t index;
+    Timer<Flow, &Flow::AckFired> ack;
+    Timer<Flow, &Flow::RtoFired> rto;
+  };
+
+  void Fire(Flow& flow) {
+    Record(queue_.now(), flow.index);
+    if (rto_churn_) {
+      flow.rto.Arm(queue_.now() + kRtoDelay);
+    }
+    flow.ack.Arm(queue_.now() + NextDelay(flow.index));
+  }
+
+  EventQueue queue_;  // declared first: the flows' timers must not outlive it
+  const bool rto_churn_;
+  std::deque<Flow> flows_;
+};
+
+// The seed heap: closures, and the RTO is cancelled and rescheduled.
+class SeedHeapWorkload : public FlowClocks {
+ public:
+  SeedHeapWorkload(size_t flows, uint64_t digest_events, bool rto_churn)
+      : FlowClocks(flows, digest_events), rto_churn_(rto_churn), rto_(flows, 0) {
+    for (size_t i = 0; i < flows; ++i) {
+      ScheduleAck(i);
+      if (rto_churn_) {
+        rto_[i] = queue_.Schedule(queue_.now() + kRtoDelay, [] {});
+      }
+    }
+  }
+
+  SeedHeapEventQueue& queue() { return queue_; }
+
+ private:
+  void ScheduleAck(size_t flow) {
+    queue_.ScheduleAfter(NextDelay(flow), [this, flow] { Fire(flow); });
+  }
+
+  void Fire(size_t flow) {
+    Record(queue_.now(), flow);
+    if (rto_churn_) {
+      queue_.Cancel(rto_[flow]);
+      rto_[flow] = queue_.ScheduleAfter(kRtoDelay, [] {});
+    }
+    ScheduleAck(flow);
+  }
+
+  SeedHeapEventQueue queue_;
+  const bool rto_churn_;
+  std::vector<uint64_t> rto_;
 };
 
 struct SchedulerRun {
@@ -108,11 +171,11 @@ struct SchedulerRun {
   uint64_t digest = 0;
 };
 
-template <typename Queue>
+template <typename Workload>
 SchedulerRun DriveScheduler(size_t flows, uint64_t target, double wall_cap_s,
                             bool rto_churn) {
-  TimerWorkload<Queue> workload(flows, target, rto_churn);
-  Queue& q = workload.queue();
+  Workload workload(flows, target, rto_churn);
+  auto& q = workload.queue();
   const auto start = Clock::now();
   while (q.executed() < target) {
     q.RunUntil(q.now() + Milliseconds(1));
@@ -160,7 +223,7 @@ int Main(int argc, char** argv) {
   }
   const bool quick = QuickMode(argc, argv);
   PrintBenchHeader("SimScale",
-                   "Pooled event queue vs seed heap; sharded million-flow scenarios");
+                   "Timer event queue vs seed heap; sharded million-flow scenarios");
 
   // ---- Part 1: scheduler microbench.
   const std::vector<size_t> sched_sizes =
@@ -177,8 +240,8 @@ int Main(int argc, char** argv) {
       SchedulerRow row;
       row.flows = flows;
       row.workload = churn ? "rto_churn" : "steady";
-      row.event_queue = DriveScheduler<EventQueue>(flows, target, wall_cap_s, churn);
-      row.seed_heap = DriveScheduler<SeedHeapEventQueue>(flows, target, wall_cap_s, churn);
+      row.event_queue = DriveScheduler<TimerWorkload>(flows, target, wall_cap_s, churn);
+      row.seed_heap = DriveScheduler<SeedHeapWorkload>(flows, target, wall_cap_s, churn);
       row.speedup = row.event_queue.events_per_sec / row.seed_heap.events_per_sec;
       row.digest_match = !row.event_queue.capped && !row.seed_heap.capped &&
                          row.event_queue.digest == row.seed_heap.digest;

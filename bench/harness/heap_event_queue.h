@@ -1,10 +1,10 @@
 // The repo's original event scheduler, preserved verbatim as the baseline for
 // bench_sim_scale: a binary heap of std::function closures with lazy
 // cancellation through a linear scan of the cancelled-id list. The in-tree
-// EventQueue (src/sim/event_queue.h) keeps the heap but stores closures in
-// pooled slots and cancels in O(1); keeping the old implementation here lets
-// every run of the bench measure the replacement against the real
-// predecessor instead of a remembered number.
+// EventQueue (src/sim/event_queue.h) keeps the heap but dispatches to
+// owner-held timers that are re-armed in place; keeping the old
+// implementation here lets every run of the bench measure the replacement
+// against the real predecessor instead of a remembered number.
 //
 // Bench-only code: nothing under src/ may include this.
 

@@ -1,14 +1,14 @@
 // DelayLine: a FIFO pipe in which every item waits the same constant delay —
 // a link's propagation (Link) or an uncongested ACK return path (Receiver).
 //
-// Items sit in a power-of-two ring of (when, seq, item); only the head holds
-// an EventQueue heap entry, so a pipe with n items in flight costs one heap
-// entry instead of n. Each item reserves its FIFO seq from the queue when it
-// enters, and its head entry is scheduled later with that seq. Since `when` =
-// entry time + delay and the reserved seq both only grow along the ring, the
-// head is the line's (when, seq) minimum and the queue dispatches items in
-// exactly the order one heap entry per item would. Each delivery counts as
-// one executed event.
+// A line is one EventQueue timer over a power-of-two ring of (when, seq,
+// item): the timer is armed for the head item only, so a pipe with n items in
+// flight costs one heap entry instead of n. Each item reserves its FIFO seq
+// from the queue when it enters, and the line arms for it later with that
+// reserved seq. Since `when` = entry time + delay and the reserved seq both
+// only grow along the ring, the head is the line's (when, seq) minimum and
+// the queue dispatches items in exactly the order one heap entry per item
+// would. Each delivery counts as one executed event.
 //
 // The ring allocates on the first Push, not at construction.
 
@@ -25,10 +25,10 @@ namespace astraea {
 
 // Delivers each item to (owner->*kDeliver)(item) `delay` after its Push.
 template <typename T, typename Owner, void (Owner::*kDeliver)(const T&)>
-class DelayLine final : public EventQueue::Line {
+class DelayLine final : private EventQueue::TimerBase {
  public:
   DelayLine(EventQueue* events, Owner* owner, TimeNs delay)
-      : Line(events), owner_(owner), delay_(delay) {}
+      : TimerBase(events), owner_(owner), delay_(delay) {}
 
   void Push(const T& item) {
     const Item entry{events_->now() + delay_, events_->ReserveSeq(), item};
@@ -37,7 +37,7 @@ class DelayLine final : public EventQueue::Line {
     }
     ring_[(head_ + size_) & (ring_.size() - 1)] = entry;
     if (++size_ == 1) {
-      ScheduleHead(entry.when, entry.seq);
+      ArmReserved(entry.when, entry.seq);
     }
     events_->NoteLineItems(size_);
   }
@@ -54,11 +54,12 @@ class DelayLine final : public EventQueue::Line {
     T value;
   };
 
-  void DispatchHead() override {
+  // Delivers the head item and arms for the next one.
+  void Fire() override {
     const T value = ring_[head_].value;
     head_ = (head_ + 1) & (ring_.size() - 1);
     if (--size_ > 0) {
-      ScheduleHead(ring_[head_].when, ring_[head_].seq);
+      ArmReserved(ring_[head_].when, ring_[head_].seq);
     }
     (owner_->*kDeliver)(value);
   }

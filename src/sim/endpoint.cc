@@ -25,8 +25,17 @@ Receiver::Receiver(EventQueue* events, PacketPool* pool, Sender* sender,
   set_sender(sender);
 }
 
+Receiver::~Receiver() { set_sender(nullptr); }
+
 void Receiver::set_sender(Sender* sender) {
-  sender_ = sender != nullptr ? sender->weak_handle() : std::weak_ptr<Sender*>();
+  if (sender_ != nullptr) {
+    sender_->receiver_ = nullptr;
+  }
+  sender_ = sender;
+  if (sender_ != nullptr) {
+    ASTRAEA_CHECK(sender_->receiver_ == nullptr);
+    sender_->receiver_ = this;
+  }
 }
 
 void Receiver::Accept(PacketRef ref) {
@@ -35,7 +44,7 @@ void Receiver::Accept(PacketRef ref) {
   const Ack ack{pkt.seq, pkt.sent_time, pkt.size_bytes, pkt.ecn_ce};
   pool_->Release(ref);
   received_bytes_ += ack.size_bytes;
-  if (sender_.expired()) {
+  if (sender_ == nullptr) {
     return;
   }
   // The reverse path is uncongested: the ACK arrives after a pure delay.
@@ -43,10 +52,10 @@ void Receiver::Accept(PacketRef ref) {
 }
 
 void Receiver::AckArrived(const Ack& ack) {
-  // A sender torn down while this ACK was in flight has expired its handle;
+  // A sender torn down while this ACK was in flight has cleared sender_;
   // the ACK is then silently discarded.
-  if (auto alive = sender_.lock()) {
-    (*alive)->OnAckArrival(ack.seq, ack.sent_time, ack.size_bytes, ack.ecn_ce);
+  if (sender_ != nullptr) {
+    sender_->OnAckArrival(ack.seq, ack.sent_time, ack.size_bytes, ack.ecn_ce);
   }
 }
 
@@ -58,13 +67,22 @@ Sender::Sender(EventQueue* events, PacketPool* pool, int flow_id, Route data_rou
       route_(std::move(data_route)),
       cc_(std::move(cc)),
       config_(config),
+      start_timer_(events, this),
+      stop_timer_(events, this),
+      pace_timer_(events, this),
+      mtp_timer_(events, this),
+      rto_timer_(events, this),
       meter_(config.min_rtt_window) {
   ASTRAEA_CHECK(!route_.empty());
   ASTRAEA_CHECK(pool_ != nullptr);
   ASTRAEA_CHECK(cc_ != nullptr);
 }
 
-Sender::~Sender() = default;
+Sender::~Sender() {
+  if (receiver_ != nullptr) {
+    receiver_->sender_ = nullptr;
+  }
+}
 
 void Sender::VerifyInvariants(const char* where, bool deep) const {
   if (!invariants::Enabled()) {
@@ -132,18 +150,8 @@ void Sender::Start() {
   next_send_time_ = events_->now();
 
   // Arm the MTP clock.
-  const uint64_t gen = ++mtp_generation_;
-  std::weak_ptr<Sender*> weak = alive_;
-  events_->ScheduleAfter(config_.mtp, [weak, gen] {
-    auto alive = weak.lock();
-    if (!alive) {
-      return;
-    }
-    Sender* self = *alive;
-    if (gen == self->mtp_generation_ && self->running_) {
-      self->MtpTick();
-    }
-  });
+  ++mtp_generation_;
+  mtp_timer_.Arm(events_->now() + config_.mtp);
 
   if (cc_->pacing_bps().has_value()) {
     SchedulePacedSend();
@@ -159,7 +167,7 @@ void Sender::Stop() {
   }
   running_ = false;
   stats_.stopped_at = events_->now();
-  ++mtp_generation_;  // disarm MTP clock (a pending RTO check sees !running_)
+  ++mtp_generation_;  // pending MTP/pace/RTO timers see !running_ and do nothing
 }
 
 uint64_t Sender::EffectiveCwnd() const {
@@ -187,7 +195,7 @@ void Sender::TrySend() {
 }
 
 void Sender::SchedulePacedSend() {
-  if (!running_ || pace_pending_ || BudgetExhausted()) {
+  if (!running_ || pace_timer_.pending() || BudgetExhausted()) {
     return;
   }
   if (inflight_bytes_ + config_.mss > EffectiveCwnd()) {
@@ -195,26 +203,19 @@ void Sender::SchedulePacedSend() {
   }
   const TimeNs now = events_->now();
   next_send_time_ = std::max(next_send_time_, now);
-  pace_pending_ = true;
-  std::weak_ptr<Sender*> weak = alive_;
-  events_->Schedule(next_send_time_, [weak] {
-    auto alive = weak.lock();
-    if (!alive) {
-      return;
-    }
-    Sender* self = *alive;
-    self->pace_pending_ = false;
-    if (!self->running_ || self->BudgetExhausted() ||
-        self->inflight_bytes_ + self->config_.mss > self->EffectiveCwnd()) {
-      return;
-    }
-    self->SendPacket();
-    const double rate = self->cc_->pacing_bps().value_or(0.0);
-    if (rate > 0.0) {
-      self->next_send_time_ += TransmissionDelay(self->config_.mss, rate);
-    }
-    self->SchedulePacedSend();
-  });
+  pace_timer_.Arm(next_send_time_);
+}
+
+void Sender::OnPaceTimer() {
+  if (!running_ || BudgetExhausted() || inflight_bytes_ + config_.mss > EffectiveCwnd()) {
+    return;
+  }
+  SendPacket();
+  const double rate = cc_->pacing_bps().value_or(0.0);
+  if (rate > 0.0) {
+    next_send_time_ += TransmissionDelay(config_.mss, rate);
+  }
+  SchedulePacedSend();
 }
 
 void Sender::SendPacket() {
@@ -330,39 +331,25 @@ TimeNs Sender::CurrentRto() const {
 
 void Sender::ArmRtoTimer() {
   // One retransmit timer per sender, as Linux keeps one per socket: every arm
-  // moves the deadline to now + RTO, but a check event is scheduled only when
-  // none is pending or the deadline moved earlier. A check that fires before
-  // the deadline re-schedules itself at it (OnRtoCheck), so the timeout still
-  // fires at exactly last arm + RTO(last arm) while at most one RTO event per
-  // sender is ever pending. Ties follow the queue's FIFO rule: an ACK due in
-  // the same nanosecond as the check runs first when it was scheduled before
-  // the check was last (re)scheduled, and then it moves the deadline.
+  // moves the deadline to now + RTO, but the timer is re-armed only when it
+  // is not pending or the deadline moved earlier. A check that fires before
+  // the deadline re-arms itself at it (OnRtoCheck), so the timeout still
+  // fires at exactly last arm + RTO(last arm) while at most one RTO entry per
+  // sender is ever live. Ties follow the queue's FIFO rule: an ACK due in the
+  // same nanosecond as the check runs first when it was scheduled before the
+  // timer was last (re)armed, and then it moves the deadline.
   rto_deadline_ = events_->now() + CurrentRto();
-  if (rto_check_at_ < 0 || rto_deadline_ < rto_check_at_) {
-    ScheduleRtoCheck();
+  if (!rto_timer_.pending() || rto_deadline_ < rto_timer_.when()) {
+    rto_timer_.Arm(rto_deadline_);
   }
-}
-
-void Sender::ScheduleRtoCheck() {
-  if (rto_check_at_ >= 0) {
-    events_->Cancel(rto_check_);
-  }
-  rto_check_at_ = rto_deadline_;
-  std::weak_ptr<Sender*> weak = alive_;
-  rto_check_ = events_->Schedule(rto_deadline_, [weak] {
-    if (auto alive = weak.lock()) {
-      (*alive)->OnRtoCheck();
-    }
-  });
 }
 
 void Sender::OnRtoCheck() {
-  rto_check_at_ = -1;
   if (!running_) {
     return;
   }
   if (events_->now() < rto_deadline_) {
-    ScheduleRtoCheck();  // ACKs moved the deadline since this check was set
+    rto_timer_.Arm(rto_deadline_);  // ACKs moved the deadline since the last arm
     return;
   }
   if (outstanding_.empty()) {
@@ -399,6 +386,12 @@ void Sender::OnRtoCheck() {
   MaybeComplete();
   if (invariants::Enabled()) {
     VerifyInvariants("OnRtoCheck", ++audit_tick_ % kDeepAuditPeriod == 0);
+  }
+}
+
+void Sender::OnMtpTimer() {
+  if (running_) {
+    MtpTick();
   }
 }
 
@@ -444,18 +437,7 @@ void Sender::MtpTick() {
     TrySend();
   }
 
-  const uint64_t gen = mtp_generation_;
-  std::weak_ptr<Sender*> weak = alive_;
-  events_->ScheduleAfter(config_.mtp, [weak, gen] {
-    auto alive = weak.lock();
-    if (!alive) {
-      return;
-    }
-    Sender* self = *alive;
-    if (gen == self->mtp_generation_ && self->running_) {
-      self->MtpTick();
-    }
-  });
+  mtp_timer_.Arm(now + config_.mtp);
   if (invariants::Enabled()) {
     VerifyInvariants("MtpTick", ++audit_tick_ % kDeepAuditPeriod == 0);
   }

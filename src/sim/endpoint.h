@@ -6,6 +6,12 @@
 // Loss detection: queues are FIFO and there is a single path, so a gap in the
 // acknowledged sequence space reliably identifies drops (perfect-SACK
 // equivalent of 3-dup-ACK detection); an RTO fallback covers tail losses.
+//
+// Each sender owns its timers (start, stop, paced send, MTP, RTO) as
+// EventQueue timer members, so a sender destroyed mid-simulation takes its
+// pending events with it. A receiver and its sender point at each other;
+// whichever is destroyed first clears the other's pointer, and a receiver
+// without a sender drops its ACKs.
 
 #ifndef SRC_SIM_ENDPOINT_H_
 #define SRC_SIM_ENDPOINT_H_
@@ -28,20 +34,23 @@ namespace astraea {
 class Sender;
 
 // Terminal sink of a data route: acknowledges each packet back to the sender
-// after the configured reverse-path delay. ACKs wait in a DelayLine; the
-// receiver holds a weak handle to the sender and locks it once per ACK, so a
-// sender destroyed while ACKs are in flight (teardown mid-simulation)
-// silently expires them instead of dangling.
+// after the configured reverse-path delay. ACKs wait in a DelayLine; a sender
+// destroyed while ACKs are in flight (teardown mid-simulation) clears the
+// receiver's pointer, and those ACKs are then silently discarded.
 class Receiver : public PacketSink {
  public:
   Receiver(EventQueue* events, PacketPool* pool, Sender* sender, TimeNs ack_return_delay);
+  ~Receiver() override;
+
+  Receiver(const Receiver&) = delete;
+  Receiver& operator=(const Receiver&) = delete;
 
   // Terminal hop: copies out the ACK fields and releases the packet slot.
   void Accept(PacketRef ref) override;
 
   // Late binding used by Network: the receiver must exist before the sender
   // (the data route ends with the receiver), so the back-pointer is set after
-  // both are constructed.
+  // both are constructed. A sender has at most one receiver.
   void set_sender(Sender* sender);
 
   uint64_t received_bytes() const { return received_bytes_; }
@@ -54,10 +63,12 @@ class Receiver : public PacketSink {
     bool ecn_ce = false;
   };
 
+  friend class Sender;  // ~Sender clears sender_
+
   void AckArrived(const Ack& ack);
 
   PacketPool* pool_;
-  std::weak_ptr<Sender*> sender_;  // expired (or never set): ACKs are dropped
+  Sender* sender_ = nullptr;  // null (never set, or destroyed): ACKs are dropped
   DelayLine<Ack, Receiver, &Receiver::AckArrived> acks_;
   uint64_t received_bytes_ = 0;
 };
@@ -111,6 +122,9 @@ class Sender {
 
   void Start();             // begins transmitting now
   void Stop();              // stops transmitting now (inflight drains silently)
+  // Arm the start and stop timers: Start() / Stop() run at `when`.
+  void StartAt(TimeNs when) { start_timer_.Arm(when); }
+  void StopAt(TimeNs when) { stop_timer_.Arm(when); }
   bool running() const { return running_; }
 
   // Called by the Receiver when an ACK arrives back. `ecn_ce` echoes the CE
@@ -128,11 +142,6 @@ class Sender {
   TimeNs srtt() const { return meter_.srtt(); }
   TimeNs min_rtt() const { return meter_.min_rtt(); }
   const MtpReport& last_report() const { return last_report_; }
-
-  // Liveness token: the Receiver (ACK delivery) and scheduled timer lambdas
-  // hold this weakly and no-op once the sender is destroyed. Expires in
-  // ~Sender().
-  std::weak_ptr<Sender*> weak_handle() const { return alive_; }
 
   // Attaches an event tracer recording send/ack/loss/rto-fire/cwnd for this
   // flow, and forwards it to the controller (kAction decisions). Null detaches.
@@ -156,16 +165,17 @@ class Sender {
   // Budgeted transfers: true once max_transfer_bytes have been emitted.
   bool BudgetExhausted() const;
   // Budgeted transfers: records completed_at (once) when every sent byte has
-  // been resolved, and stops the flow so its timers disarm.
+  // been resolved, and stops the flow (its pending timers then do nothing).
   void MaybeComplete();
   void TrySend();                    // ACK-clocked burst send
   void SchedulePacedSend();          // paced send loop
+  void OnPaceTimer();
   void SendPacket();
   void DetectGapLosses(uint64_t acked_seq);
   TimeNs CurrentRto() const;
   void ArmRtoTimer();
-  void ScheduleRtoCheck();
   void OnRtoCheck();
+  void OnMtpTimer();
   void MtpTick();
 
   EventQueue* events_;
@@ -175,10 +185,16 @@ class Sender {
   std::unique_ptr<CongestionController> cc_;
   SenderConfig config_;
   Tracer* tracer_ = nullptr;
+  friend class Receiver;  // set_sender() pairs the two
+  Receiver* receiver_ = nullptr;
 
-  // See weak_handle(). shared_ptr-to-self-pointer rather than
-  // enable_shared_from_this because senders are held by unique_ptr/value.
-  std::shared_ptr<Sender*> alive_ = std::make_shared<Sender*>(this);
+  // Stop() disarms none of these: a stopped flow's pending timers fire as
+  // no-ops. The pace timer is pending exactly while a paced send waits.
+  Timer<Sender, &Sender::Start> start_timer_;
+  Timer<Sender, &Sender::Stop> stop_timer_;
+  Timer<Sender, &Sender::OnPaceTimer> pace_timer_;
+  Timer<Sender, &Sender::OnMtpTimer> mtp_timer_;
+  Timer<Sender, &Sender::OnRtoCheck> rto_timer_;
 
   bool running_ = false;
   uint64_t next_seq_ = 0;
@@ -195,19 +211,17 @@ class Sender {
   uint64_t interval_acked_bytes_ = 0;
   TimeNs last_ack_time_ = 0;
 
-  // RTO: the deadline set by the last ArmRtoTimer() and the one pending check
-  // event (its time, -1 when none is pending, and its Cancel handle).
+  // RTO: the deadline set by the last ArmRtoTimer(); rto_timer_ is armed at
+  // or before it.
   TimeNs rto_deadline_ = 0;
-  TimeNs rto_check_at_ = -1;
-  uint64_t rto_check_ = 0;
 
-  // Paced-mode bookkeeping.
-  bool pace_pending_ = false;
+  // Paced mode: when the next paced send is due.
   TimeNs next_send_time_ = 0;
 
   // Invariant-checker deep-audit tick (only advances when the checker is on).
   mutable uint64_t audit_tick_ = 0;
 
+  // Bumped by Start() and Stop(); the kCwnd trace record carries it.
   uint64_t mtp_generation_ = 0;
   MtpReport last_report_;
 

@@ -19,26 +19,43 @@ struct FiresLater {
 };
 }  // namespace
 
-uint32_t EventQueue::AcquireSlot() {
-  if (free_head_ != kNil) {
-    const uint32_t idx = free_head_;
-    free_head_ = slot(idx).next;
-    ++recycled_;
-    return idx;
+EventQueue::TimerBase::~TimerBase() {
+  if (id_ != kNil) {
+    events_->Detach(this);
   }
-  if ((size_t{allocated_} >> kChunkShift) == chunks_.size()) {
-    chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
-  }
-  return allocated_++;
 }
 
-void EventQueue::FreeSlot(uint32_t idx) {
-  Slot& s = slot(idx);
-  ++s.gen;  // stale handles (Cancel after fire, double cancel) stop matching
-  s.cancelled = false;
-  s.fn = Callback();  // release captured state promptly
-  s.next = free_head_;
-  free_head_ = idx;
+void EventQueue::TimerBase::ArmReserved(TimeNs when, uint64_t seq) {
+  EventQueue& q = *events_;
+  if (id_ == kNil) {
+    q.Register(this);
+  } else if (pending()) {
+    q.Disarm(this);
+  }
+  q.BeforePush(when);
+  armed_seq_ = seq;
+  when_ = when;
+  q.Push(Entry{when, seq, id_});
+}
+
+void EventQueue::Register(TimerBase* timer) {
+  timer->id_ = static_cast<uint32_t>(timers_.size());
+  ASTRAEA_CHECK(timer->id_ != kNil);
+  timers_.push_back(timer);
+}
+
+void EventQueue::Detach(TimerBase* timer) {
+  timers_[timer->id_] = nullptr;
+  if (timer->pending()) {
+    --live_;
+    ++dead_pending_;
+  }
+}
+
+void EventQueue::Disarm(TimerBase* timer) {
+  timer->armed_seq_ = TimerBase::kNotArmed;
+  --live_;
+  ++dead_pending_;
 }
 
 void EventQueue::BeforePush(TimeNs when) {
@@ -52,8 +69,8 @@ void EventQueue::BeforePush(TimeNs when) {
   }
   ASTRAEA_CHECK(when >= now_);
 
-  // Garbage-collect when lazily-cancelled entries dominate the live ones.
-  if (cancelled_pending_ > 64 && cancelled_pending_ > 2 * live_) {
+  // Garbage-collect when dead entries dominate the live ones.
+  if (dead_pending_ > 64 && dead_pending_ > 2 * live_) {
     Compact();
   }
 }
@@ -61,8 +78,8 @@ void EventQueue::BeforePush(TimeNs when) {
 void EventQueue::Push(Entry entry) {
   ++live_;
   if (top_spent_) {
-    // The first entry the running event schedules takes the place of its
-    // spent entry on top: one sift-down instead of a pop and a push.
+    // The first entry the running timer arms takes the place of its spent
+    // entry on top: one sift-down instead of a pop and a push.
     top_spent_ = false;
     ReplaceTop(entry);
     return;
@@ -72,59 +89,13 @@ void EventQueue::Push(Entry entry) {
   heap_max_ = std::max(heap_max_, heap_.size());
 }
 
-uint64_t EventQueue::Schedule(TimeNs when, Callback fn) {
-  BeforePush(when);
-  const uint32_t idx = AcquireSlot();
-  Slot& s = slot(idx);
-  s.fn = std::move(fn);
-  Push(Entry{when, next_seq_++, idx});
-  return (static_cast<uint64_t>(s.gen) << 32) | idx;
-}
-
-EventQueue::Line::~Line() {
-  if (id_ != kNil) {
-    events_->DetachLine(this);
-  }
-}
-
-void EventQueue::Line::ScheduleHead(TimeNs when, uint64_t seq) {
-  if (id_ == kNil) {
-    id_ = static_cast<uint32_t>(events_->lines_.size());
-    ASTRAEA_CHECK(id_ < kLineTag);
-    events_->lines_.push_back(this);
-  }
-  events_->BeforePush(when);
-  events_->Push(Entry{when, seq, kLineTag | id_});
-  head_pending_ = true;
-}
-
-void EventQueue::DetachLine(Line* line) {
-  lines_[line->id_] = nullptr;
-  if (line->head_pending_) {  // its head entry turns dead, like a cancelled event
-    --live_;
-    ++cancelled_pending_;
-  }
-}
-
-void EventQueue::FreeEntry(const Entry& entry) {
-  if ((entry.slot & kLineTag) == 0) {
-    FreeSlot(entry.slot);
-  }
-}
-
 void EventQueue::Compact() {
   ++compactions_;
-  const auto dead = [this](const Entry& e) {
-    if (!IsDead(e)) {
-      return false;
-    }
-    FreeEntry(e);
-    return true;
-  };
+  const auto dead = [this](const Entry& e) { return IsDead(e); };
   // A spent entry on top is not dead: Dispatch still owns it.
   const auto first = heap_.begin() + (top_spent_ ? 1 : 0);
   heap_.erase(std::remove_if(first, heap_.end(), dead), heap_.end());
-  cancelled_pending_ = 0;
+  dead_pending_ = 0;
   std::make_heap(heap_.begin(), heap_.end(), FiresLater());
 }
 
@@ -159,26 +130,9 @@ bool EventQueue::DispatchNext(TimeNs limit) {
       return true;
     }
     PopTop();
-    --cancelled_pending_;
-    FreeEntry(top);
+    --dead_pending_;
   }
   return false;
-}
-
-void EventQueue::Cancel(uint64_t handle) {
-  const uint32_t idx = static_cast<uint32_t>(handle & 0xFFFFFFFFu);
-  const uint32_t gen = static_cast<uint32_t>(handle >> 32);
-  if (idx >= allocated_) {
-    return;
-  }
-  Slot& s = slot(idx);
-  if (s.gen != gen || s.cancelled) {
-    return;  // stale handle: the event already ran, was cancelled, or the
-             // slot was recycled for a newer event
-  }
-  s.cancelled = true;
-  --live_;
-  ++cancelled_pending_;
 }
 
 void EventQueue::Dispatch(const Entry& entry) {
@@ -192,23 +146,14 @@ void EventQueue::Dispatch(const Entry& entry) {
   now_ = entry.when;
   ++executed_;
   --live_;
-  // The spent entry stays on top while the event runs, for Push() to
-  // overwrite. Whatever the event schedules fires after it (when >= now, a
-  // fresh seq), so if the event schedules nothing it is still on top after.
+  // The spent entry stays on top while the timer fires, for Push() to
+  // overwrite. Whatever the timer arms fires after it (when >= now, a fresh
+  // or later-reserved seq), so if it arms nothing it is still on top after.
   top_spent_ = true;
+  TimerBase* timer = timers_[entry.timer];
+  timer->armed_seq_ = TimerBase::kNotArmed;
   try {
-    if ((entry.slot & kLineTag) != 0) {
-      Line* line = lines_[entry.slot & ~kLineTag];
-      line->head_pending_ = false;
-      line->DispatchHead();
-    } else {
-      // Move the closure out and free the slot *before* invoking: the
-      // callback may schedule new events, which may legitimately recycle
-      // this very slot.
-      Callback fn = std::move(slot(entry.slot).fn);
-      FreeSlot(entry.slot);
-      fn();
-    }
+    timer->Fire();
   } catch (...) {
     DropSpentTop();
     throw;

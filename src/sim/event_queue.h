@@ -1,42 +1,45 @@
-// Discrete-event scheduler: a binary heap over a slab-allocated event pool.
+// Discrete-event scheduler: a binary heap of timer entries.
 //
-// Events are (time, sequence, closure) triples executed in nondecreasing time
-// order; the monotonically increasing sequence number breaks ties FIFO, which
-// makes whole-simulation behaviour deterministic for a given seed. That total
-// order is the contract the golden traces pin down — any correct scheduler
-// implementation must dispatch in exactly this order.
+// Every pending event is one heap entry {when, seq, timer id}, and every
+// event is the firing of an owner-held timer object. Entries execute in
+// nondecreasing time order; the monotonically increasing sequence number
+// breaks ties FIFO, which makes whole-simulation behaviour deterministic for
+// a given seed. That total order is the contract the golden traces pin down —
+// any correct scheduler implementation must dispatch in exactly this order.
 //
-// Implementation (see DESIGN.md §11 for the full layout):
-//  * Event slots live in chunked slabs recycled through a freelist, so a
-//    schedule/dispatch pair costs index arithmetic — no allocation. Closures
-//    are stored inline in the slot (InlineFunction), so no malloc either.
-//  * Pending events are a std::vector binary heap of {when, seq, slot}
-//    entries ordered by (when, seq). Since seq is unique the order is total,
-//    so the heap dispatches exactly the FIFO-tie-broken order.
-//  * Schedule() returns a generation-stamped handle; Cancel() is an O(1)
-//    stamp check + flag write. The cancelled entry stays in the heap and is
-//    freed when it reaches the top, or earlier by a compaction once cancelled
-//    entries outnumber live ones two to one.
-//  * A running event's entry stays on top of the heap until the event
-//    schedules its first entry, which takes its place with one sift-down
-//    instead of a pop and a push.
-//  * Constant-delay pipes (link propagation, ACK return) are Lines (see
-//    delay_line.h): a FIFO ring whose items each reserve their seq on entry
-//    and of which only the head holds a heap entry. That entry is tagged with
-//    the line's id instead of a slot, so it dispatches straight to the line
-//    with no slot and no closure. Within a line `when` and the reserved seq
-//    both only grow, so the head is the line's (when, seq) minimum and the
-//    dispatch order is exactly that of one heap entry per item.
+// Implementation (see DESIGN.md §11.1 for the full layout):
+//  * A timer (TimerBase, or the Timer<Owner, &Owner::Fn> member template
+//    below) holds at most one pending entry. It registers with the queue on
+//    its first arm and keeps the seq it was last armed with; Arm() on a
+//    pending timer re-arms it in place.
+//  * An entry is dead when its timer is gone (destroyed; it detached from
+//    the queue) or has been re-armed since (its armed seq no longer matches
+//    the entry's). A dead entry stays in the heap and is dropped when it
+//    reaches the top, or earlier by a compaction once dead entries outnumber
+//    live ones two to one.
+//  * Pending entries are a std::vector binary heap ordered by (when, seq).
+//    Since seq is unique the order is total, so the heap dispatches exactly
+//    the FIFO-tie-broken order.
+//  * A running timer's entry stays on top of the heap until the timer arms
+//    its first entry, which takes its place with one sift-down instead of a
+//    pop and a push.
+//  * Constant-delay pipes (link propagation, ACK return) are DelayLines (see
+//    delay_line.h): timers over a FIFO ring whose items each reserve their
+//    seq on entry; the line arms itself for its head item with that reserved
+//    seq. Within a line `when` and the reserved seq both only grow, so the
+//    head is the line's (when, seq) minimum and the dispatch order is exactly
+//    that of one heap entry per item.
+//
+// Timers must not outlive their queue: an owner declares its EventQueue
+// before (or holds it longer than) the components whose timers it serves.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "src/util/inline_function.h"
 #include "src/util/logging.h"
 #include "src/util/time.h"
 
@@ -44,49 +47,47 @@ namespace astraea {
 
 class EventQueue {
  public:
-  using Callback = InlineFunction<48>;
-
-  // Base of a constant-delay FIFO (DelayLine<T> in delay_line.h). The queue
-  // calls DispatchHead() when the head's entry is due; the line pops its head,
-  // schedules its next item with ScheduleHead() and delivers the item. A line
-  // registers on its first ScheduleHead(), and one destroyed with items still
-  // in it detaches: its pending head is then dropped unexecuted.
-  class Line {
+  // Base of every event source. The queue calls Fire() when the timer's
+  // entry is due; by then the timer is no longer pending, so Fire() may arm
+  // it again. A timer destroyed while pending detaches: its entry is then
+  // dropped unexecuted.
+  class TimerBase {
    public:
-    Line(const Line&) = delete;
-    Line& operator=(const Line&) = delete;
+    TimerBase(const TimerBase&) = delete;
+    TimerBase& operator=(const TimerBase&) = delete;
+
+    // Arms the timer at absolute time `when` (>= now) with a fresh FIFO
+    // seq. A pending timer is re-armed: its earlier entry turns dead.
+    void Arm(TimeNs when) { ArmReserved(when, events_->ReserveSeq()); }
+
+    bool pending() const { return armed_seq_ != kNotArmed; }
+    // The time the timer is armed for; meaningful only while pending().
+    TimeNs when() const { return when_; }
 
    protected:
-    explicit Line(EventQueue* events) : events_(events) {}
-    virtual ~Line();
+    explicit TimerBase(EventQueue* events) : events_(events) {}
+    virtual ~TimerBase();
 
-    virtual void DispatchHead() = 0;
+    virtual void Fire() = 0;
 
-    // Puts the head in the heap at `when` with the seq it reserved on entry.
-    void ScheduleHead(TimeNs when, uint64_t seq);
+    // Arm() with a seq reserved earlier by ReserveSeq() (DelayLine's head).
+    void ArmReserved(TimeNs when, uint64_t seq);
 
     EventQueue* events_;
 
    private:
     friend class EventQueue;
-    uint32_t id_ = kNil;
-    bool head_pending_ = false;  // the head's entry is in the heap
+    static constexpr uint64_t kNotArmed = ~uint64_t{0};
+
+    uint64_t armed_seq_ = kNotArmed;  // seq of the live entry, if pending
+    TimeNs when_ = 0;
+    uint32_t id_ = kNil;  // index in the queue's timer table once registered
   };
 
   EventQueue() = default;
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
-
-  // Schedules `fn` at absolute time `when` (>= now). Returns a handle that can
-  // be passed to Cancel().
-  uint64_t Schedule(TimeNs when, Callback fn);
-  uint64_t ScheduleAfter(TimeNs delay, Callback fn) { return Schedule(now_ + delay, std::move(fn)); }
-
-  // O(1) cancel of a pending event. A handle whose event already ran (or was
-  // already cancelled) is stale — its slot generation no longer matches — and
-  // the call is a no-op, so cancelling twice or late is always safe.
-  void Cancel(uint64_t handle);
 
   // Runs events until the queue is empty or the next event is after `until`.
   // The clock lands exactly on `until` when the queue drains early.
@@ -95,27 +96,30 @@ class EventQueue {
   // Runs until the queue is fully drained (the clock stays on the last event).
   void RunAll();
 
-  // Takes the FIFO tie-break number the next Schedule() would get. A line
-  // item reserves one when it enters its line and keeps it until its head
-  // entry is scheduled.
+  // Takes the next FIFO tie-break number. Arm() takes one; a line item
+  // reserves one when it enters its line and keeps it until its line arms
+  // for it.
   uint64_t ReserveSeq() { return next_seq_++; }
 
   TimeNs now() const { return now_; }
-  // Live heap entries: scheduled events not yet run or cancelled, plus one
-  // head per non-empty line (items behind a head are not counted).
+  // Live heap entries: armed timers not yet fired, counting one head per
+  // non-empty line (items behind a head are not counted).
   size_t pending() const { return live_; }
   // Events run, counting each line item delivered as one event.
   uint64_t executed() const { return executed_; }
 
-  // Largest heap size (cancelled entries included) and largest line ring
+  // Timers registered with this queue (each registers on its first arm),
+  // for the sim.sched.timers gauge.
+  size_t timer_count() const { return timers_.size(); }
+
+  // Largest heap size (dead entries included) and largest line ring
   // occupancy seen, for the sim.sched.heap_max / sim.lines.items_max gauges.
   size_t heap_max() const { return heap_max_; }
   size_t line_items_max() const { return line_items_max_; }
   void NoteLineItems(size_t items) { line_items_max_ = std::max(line_items_max_, items); }
 
-  // Pool statistics for the sim.pool.* metrics gauges.
-  size_t slot_capacity() const { return allocated_; }
-  uint64_t slots_recycled() const { return recycled_; }
+  // Kept for perfbench/workload_sim.cc (pool.event_slots): the timer count.
+  size_t slot_capacity() const { return timer_count(); }
   // Kept for perfbench/workload_sim.cc (sched.rebuilds): counts compactions.
   uint64_t calendar_rebuilds() const { return compactions_; }
   // Kept for perfbench/workload_sim.cc (sched.rotations): a heap never rotates.
@@ -125,79 +129,76 @@ class EventQueue {
 
  private:
   static constexpr uint32_t kNil = 0xFFFFFFFFu;
-  // Entry::slot with this bit set names a line (low bits: its id), not a slot.
-  static constexpr uint32_t kLineTag = 0x80000000u;
-  static constexpr size_t kChunkShift = 8;  // 256 slots per slab
-  static constexpr size_t kChunkSize = size_t{1} << kChunkShift;
-
-  struct Slot {
-    uint32_t next = kNil;  // freelist link
-    uint32_t gen = 0;      // bumped on every free; stamps Cancel handles
-    bool cancelled = false;
-    Callback fn;
-  };
 
   struct Entry {
     TimeNs when;
     uint64_t seq;  // FIFO tie-break, globally increasing
-    uint32_t slot;  // slot index, or kLineTag | line id
+    uint32_t timer;  // index in timers_
   };
 
-  Slot& slot(uint32_t idx) { return chunks_[idx >> kChunkShift][idx & (kChunkSize - 1)]; }
-
-  uint32_t AcquireSlot();
-  void FreeSlot(uint32_t idx);
+  // Registers `timer` on its first arm.
+  void Register(TimerBase* timer);
+  // A destroyed timer's pending entry turns dead.
+  void Detach(TimerBase* timer);
+  // Marks a pending timer's entry dead before it is re-armed.
+  void Disarm(TimerBase* timer);
 
   // Schedule-time checks (causality) and upkeep (compaction) for an entry
   // at `when`; Push() then adds it as a live entry, in place of the running
-  // event's spent entry if that is still on top.
+  // timer's spent entry if that is still on top.
   void BeforePush(TimeNs when);
   void Push(Entry entry);
-  // A cancelled event, or the head of a line destroyed before it ran.
-  bool IsDead(const Entry& entry) {
-    return (entry.slot & kLineTag) != 0 ? lines_[entry.slot & ~kLineTag] == nullptr
-                                        : slot(entry.slot).cancelled;
+  // The entry of a destroyed timer, or of one re-armed since.
+  bool IsDead(const Entry& entry) const {
+    const TimerBase* timer = timers_[entry.timer];
+    return timer == nullptr || timer->armed_seq_ != entry.seq;
   }
-  void FreeEntry(const Entry& entry);
 
-  void DetachLine(Line* line);
-
-  // Drops every dead entry from the heap and frees its slot.
+  // Drops every dead entry from the heap.
   void Compact();
 
   void PopTop();
   // Overwrites the top with an entry that fires no earlier, then restores
   // the heap order.
   void ReplaceTop(Entry entry);
-  // Pops the running event's spent entry unless Push() already replaced it.
+  // Pops the running timer's spent entry unless Push() already replaced it.
   void DropSpentTop();
 
   // Dispatches the minimal (when, seq) live entry if its when <= limit,
-  // freeing dead entries on the way. False when none qualifies.
+  // dropping dead entries on the way. False when none qualifies.
   bool DispatchNext(TimeNs limit);
 
-  // Runs `entry`, which is the heap's top, and takes it off the heap.
+  // Fires `entry`'s timer; the entry is the heap's top and leaves the heap.
   void Dispatch(const Entry& entry);
 
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
-  uint32_t free_head_ = kNil;
-  uint32_t allocated_ = 0;  // high-water slot count
-
-  std::vector<Entry> heap_;  // includes cancelled entries not yet popped
-  std::vector<Line*> lines_;  // by line id; null once the line is destroyed
-  // True while the running event's spent entry is still on top of the heap.
+  std::vector<Entry> heap_;  // includes dead entries not yet popped
+  std::vector<TimerBase*> timers_;  // by timer id; null once the timer is destroyed
+  // True while the running timer's spent entry is still on top of the heap.
   bool top_spent_ = false;
 
-  size_t live_ = 0;  // scheduled, not cancelled, not yet executed
-  size_t cancelled_pending_ = 0;
+  size_t live_ = 0;  // armed, not re-armed since, not yet fired
+  size_t dead_pending_ = 0;
 
   TimeNs now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
-  uint64_t recycled_ = 0;
   uint64_t compactions_ = 0;
   size_t heap_max_ = 0;
   size_t line_items_max_ = 0;
+};
+
+// A timer member that calls (owner->*kFire)() when it fires, as DelayLine
+// delivers to (owner->*kDeliver)(item):
+//   Timer<Sender, &Sender::OnPaceTimer> pace_timer_{events, this};
+template <typename Owner, void (Owner::*kFire)()>
+class Timer final : public EventQueue::TimerBase {
+ public:
+  Timer(EventQueue* events, Owner* owner) : TimerBase(events), owner_(owner) {}
+
+ private:
+  void Fire() override { (owner_->*kFire)(); }
+
+  Owner* owner_;
 };
 
 }  // namespace astraea

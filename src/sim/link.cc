@@ -20,7 +20,8 @@ Link::Link(EventQueue* events, LinkConfig config, Rng rng, PacketPool* pool)
       config_(std::move(config)),
       rng_(rng),
       pool_(pool),
-      wire_(events, this, config_.propagation_delay) {
+      wire_(events, this, config_.propagation_delay),
+      service_timer_(events, this) {
   ASTRAEA_CHECK(pool_ != nullptr);
   if (config_.trace != nullptr) {
     provider_ = config_.trace;
@@ -85,7 +86,7 @@ void Link::Accept(PacketRef ref) {
     VerifyInvariants("Accept", false);
     return;
   }
-  if (!busy_) {
+  if (!service_timer_.pending()) {
     StartService(ref);
     return;
   }
@@ -105,14 +106,15 @@ void Link::Accept(PacketRef ref) {
 }
 
 void Link::StartService(PacketRef ref) {
-  busy_ = true;
+  in_service_ = ref;
   in_service_bytes_ = pool_->Get(ref).size_bytes;
   const RateBps rate = provider_->RateAt(events_->now());
   const TimeNs tx = TransmissionDelay(in_service_bytes_, rate);
-  events_->ScheduleAfter(tx, [this, ref] { FinishService(ref); });
+  service_timer_.Arm(events_->now() + tx);
 }
 
-void Link::FinishService(PacketRef ref) {
+void Link::FinishService() {
+  const PacketRef ref = in_service_;
   const Packet& pkt = pool_->Get(ref);
   const uint32_t size = pkt.size_bytes;
   const int flow_id = pkt.flow_id;
@@ -146,8 +148,6 @@ void Link::FinishService(PacketRef ref) {
                       static_cast<double>(queue_->queued_bytes()));
     }
     StartService(*next);
-  } else {
-    busy_ = false;
   }
   if (invariants::Enabled()) {
     VerifyInvariants("FinishService", ++audit_tick_ % kDeepAuditPeriod == 0);

@@ -70,7 +70,8 @@ class Link : public PacketSink {
 
  private:
   void StartService(PacketRef ref);
-  void FinishService(PacketRef ref);
+  // Service timer: `in_service_` has been transmitted.
+  void FinishService();
   // End of the propagation delay: hands the packet to its next hop.
   void Propagated(const PacketRef& ref) { ForwardToNextHop(*pool_, ref); }
 
@@ -81,9 +82,11 @@ class Link : public PacketSink {
   PacketPool* pool_;
   // Packets past service, in flight for config_.propagation_delay.
   DelayLine<PacketRef, Link, &Link::Propagated> wire_;
+  // Pending while a packet is in service (the link is busy).
+  Timer<Link, &Link::FinishService> service_timer_;
+  PacketRef in_service_;
 
   std::unique_ptr<QueueDiscipline> queue_;
-  bool busy_ = false;
   Tracer* tracer_ = nullptr;
   int32_t trace_link_id_ = -1;
 

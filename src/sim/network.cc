@@ -10,7 +10,7 @@
 
 namespace astraea {
 
-Network::Network(uint64_t seed) : rng_(seed) {}
+Network::Network(uint64_t seed) : rng_(seed), sample_timer_(&events_, this) {}
 
 Network::~Network() = default;
 
@@ -71,7 +71,7 @@ void Network::SampleLinks() {
     link_traces_[i].delivered_mbps.Add(now, mbps);
     link_prev_delivered_[i] = delivered;
   }
-  events_.ScheduleAfter(sample_interval_, [this] { SampleLinks(); });
+  sample_timer_.Arm(now + sample_interval_);
 }
 
 void Network::SetTracer(Tracer* tracer) {
@@ -94,14 +94,13 @@ void Network::Run(TimeNs until) {
       SetTracer(forced_tracer_.get());
     }
     for (auto& record : flows_) {
-      Sender* sender = record.sender.get();
-      events_.Schedule(record.spec.start, [sender] { sender->Start(); });
+      record.sender->StartAt(record.spec.start);
       if (record.spec.duration >= 0) {
-        events_.Schedule(record.spec.start + record.spec.duration, [sender] { sender->Stop(); });
+        record.sender->StopAt(record.spec.start + record.spec.duration);
       }
     }
     if (sample_interval_ > 0) {
-      events_.ScheduleAfter(sample_interval_, [this] { SampleLinks(); });
+      sample_timer_.Arm(events_.now() + sample_interval_);
     }
   }
   events_.RunUntil(until);
@@ -135,11 +134,10 @@ void Network::PublishPoolMetrics() const {
   metrics.GetGauge("sim.pool.packets_capacity").Set(static_cast<double>(pool_.capacity()));
   metrics.GetGauge("sim.pool.packets_recycled_total").Set(static_cast<double>(pool_.recycled()));
   metrics.GetGauge("sim.pool.events_pending").Set(static_cast<double>(events_.pending()));
-  metrics.GetGauge("sim.pool.events_capacity").Set(static_cast<double>(events_.slot_capacity()));
-  metrics.GetGauge("sim.pool.events_recycled_total")
-      .Set(static_cast<double>(events_.slots_recycled()));
-  // Scheduler health: the heap's high-water size, and the deepest
-  // constant-delay line (packets or ACKs in flight behind one heap entry).
+  // Scheduler health: the timers registered, the heap's high-water size, and
+  // the deepest constant-delay line (packets or ACKs in flight behind one
+  // heap entry).
+  metrics.GetGauge("sim.sched.timers").Set(static_cast<double>(events_.timer_count()));
   metrics.GetGauge("sim.sched.heap_max").Set(static_cast<double>(events_.heap_max()));
   metrics.GetGauge("sim.lines.items_max").Set(static_cast<double>(events_.line_items_max()));
   // Pre-register the invariant counters so a clean scrape shows explicit

@@ -2,8 +2,8 @@
 //
 // A Network owns the event queue, all links and all endpoints. Flows are
 // described by FlowSpec (scheme factory, start time, duration, path through
-// the links, RTT-heterogeneity extra delay) and started/stopped by scheduled
-// events. This is the Runtime module of the paper's training environment
+// the links, RTT-heterogeneity extra delay) and started/stopped by their
+// senders' start/stop timers. This is the Runtime module of the paper's training environment
 // (§3.2); the Astraea-specific Observer/Enforcer layers live in src/core.
 
 #ifndef SRC_SIM_NETWORK_H_
@@ -99,14 +99,15 @@ class Network {
 
   void SampleLinks();
 
-  // Publishes the sim.pool.*, sim.sched.heap_max and sim.lines.items_max
+  // Publishes the sim.pool.*, sim.sched.* and sim.lines.items_max
   // gauges (and pre-registers invariants counters) to the global
   // MetricsRegistry; called at the end of every Run() so --metrics-out
   // scrapes see pool and scheduler health without extra plumbing.
   void PublishPoolMetrics() const;
 
   // Declared before links/flows so packets outlive the components that hold
-  // refs into the pool during teardown.
+  // refs into the pool during teardown, and the queue outlives every timer
+  // (a link's or sender's timer detaches from it when destroyed).
   PacketPool pool_;
   EventQueue events_;
   Rng rng_;
@@ -115,6 +116,7 @@ class Network {
   std::vector<uint64_t> link_prev_delivered_;
   std::vector<FlowRecord> flows_;
   TimeNs sample_interval_ = 0;
+  Timer<Network, &Network::SampleLinks> sample_timer_;
   bool started_ = false;
   Tracer* tracer_ = nullptr;
   // Owned in-memory tracer when ASTRAEA_FORCE_TRACE is set (CI perturbation

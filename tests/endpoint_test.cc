@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -179,6 +181,18 @@ TEST(SenderTest, PendingEventsStayBoundedWithOneRtoTimer) {
   EXPECT_LE(max_pending, kWindowPackets + 4);
 }
 
+// Closure timer for delivering ACKs by hand: runs `fn` when it fires.
+class FnTimer final : public EventQueue::TimerBase {
+ public:
+  FnTimer(EventQueue* events, std::function<void()> fn)
+      : TimerBase(events), fn_(std::move(fn)) {}
+
+ private:
+  void Fire() override { fn_(); }
+
+  std::function<void()> fn_;
+};
+
 // A sink that swallows data packets, so a test can deliver ACKs by hand at
 // exact times.
 class DiscardSink : public PacketSink {
@@ -211,13 +225,17 @@ TEST(SenderTest, SameNanosecondAckVersusRtoCheckFollowsScheduleOrder) {
     auto owned_cc = std::make_unique<FixedWindow>(2 * 1500);
     FixedWindow* cc = owned_cc.get();
     Sender sender(&events, &pool, 0, Route{&sink}, std::move(owned_cc), SenderConfig{});
+    std::deque<FnTimer> timers;  // after `events`: the timers go first
+    const auto schedule = [&](TimeNs when, std::function<void()> fn) {
+      timers.emplace_back(&events, std::move(fn)).Arm(when);
+    };
     sender.Start();
     const auto ack_at = [&](TimeNs when, uint64_t seq, TimeNs sent) {
-      events.Schedule(when, [&sender, seq, sent] { sender.OnAckArrival(seq, sent, 1500); });
+      schedule(when, [&sender, seq, sent] { sender.OnAckArrival(seq, sent, 1500); });
     };
     ack_at(Milliseconds(10), 0, 0);
     ack_at(Milliseconds(20), 1, 0);
-    events.Schedule(ack_scheduled_at, [&] { ack_at(Milliseconds(220), 2, Milliseconds(10)); });
+    schedule(ack_scheduled_at, [&] { ack_at(Milliseconds(220), 2, Milliseconds(10)); });
     events.RunUntil(Milliseconds(220));
 
     const bool ack_first = ack_scheduled_at < Milliseconds(210);
@@ -318,30 +336,41 @@ TEST(ReceiverTest, CountsReceivedBytes) {
   EXPECT_GT(t.net->flow_stats(0).bytes_acked, 0u);
 }
 
-// Regression: the receiver's delayed-ACK lambda used to capture a raw
-// Sender*, so destroying a sender with ACKs still in flight (mid-simulation
-// teardown) dereferenced freed memory when those events later fired. The
-// lambda now holds a weak liveness handle; expired ACKs — and the sender's
-// own pending MTP/RTO/pacing timers — must be silently discarded. Run under
-// ASan to catch the use-after-free pre-fix.
+// Regression: the receiver's delayed ACK used to capture a raw Sender*, so
+// destroying a sender with ACKs still in flight (mid-simulation teardown)
+// dereferenced freed memory when those events later fired. ~Sender now
+// clears the receiver's pointer, and its own pending MTP/RTO timers — and,
+// for a paced sender, its pace timer — detach from the queue, so expired
+// ACKs are silently discarded and none of its timers fires. Run under ASan
+// to catch a use-after-free.
 TEST(ReceiverTest, AckAfterSenderDestroyedIsDiscarded) {
-  EventQueue events;
-  PacketPool pool;
-  Receiver receiver(&events, &pool, nullptr, /*ack_return_delay=*/Milliseconds(15));
-  SenderConfig config;
-  auto sender = std::make_unique<Sender>(&events, &pool, /*flow_id=*/0, Route{&receiver},
-                                         std::make_unique<FixedWindow>(20 * 1500), config);
-  receiver.set_sender(sender.get());
+  for (const bool paced : {false, true}) {
+    SCOPED_TRACE(paced ? "paced sender" : "ACK-clocked sender");
+    EventQueue events;
+    PacketPool pool;
+    Receiver receiver(&events, &pool, nullptr, /*ack_return_delay=*/Milliseconds(15));
+    SenderConfig config;
+    auto cc = paced ? std::make_unique<FixedWindow>(20 * 1500, Mbps(20))
+                    : std::make_unique<FixedWindow>(20 * 1500);
+    auto sender = std::make_unique<Sender>(&events, &pool, /*flow_id=*/0, Route{&receiver},
+                                           std::move(cc), config);
+    receiver.set_sender(sender.get());
 
-  // Start and deliver a few packets: each Accept schedules a delayed ACK.
-  sender->Start();
-  events.RunUntil(Milliseconds(5));
-  EXPECT_GT(receiver.received_bytes(), 0u);
+    // Start and deliver a few packets: each Accept enters a delayed ACK.
+    sender->Start();
+    events.RunUntil(Milliseconds(5));
+    EXPECT_GT(receiver.received_bytes(), 0u);
+    // The ACK line's head, the MTP and RTO timers, and a paced send (20 Mbps
+    // sends a packet every 0.6 ms, far below the window).
+    EXPECT_EQ(events.pending(), paced ? 4u : 3u);
 
-  // Tear the sender down while ACKs (and its MTP/RTO timers) are pending.
-  sender.reset();
-  events.RunUntil(Seconds(2.0));  // fires every stale event; must not crash
-  EXPECT_GT(receiver.received_bytes(), 0u);
+    // Tear the sender down while ACKs and its timers are pending.
+    sender.reset();
+    EXPECT_EQ(events.pending(), 1u);
+    events.RunUntil(Seconds(2.0));  // delivers every stale ACK; must not crash
+    EXPECT_GT(receiver.received_bytes(), 0u);
+    EXPECT_EQ(events.pending(), 0u);
+  }
 }
 
 }  // namespace

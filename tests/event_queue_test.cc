@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
@@ -16,12 +17,45 @@
 namespace astraea {
 namespace {
 
+// Closure timer for the tests: the queue fires only owner-held timers, so
+// each test closure gets a timer of its own.
+class FnTimer final : public EventQueue::TimerBase {
+ public:
+  FnTimer(EventQueue* q, std::function<void()> fn) : TimerBase(q), fn_(std::move(fn)) {}
+
+ private:
+  void Fire() override { fn_(); }
+
+  std::function<void()> fn_;
+};
+
+// Owns the tests' closure timers: Schedule() arms a fresh one and returns it
+// for re-arming. Declared after its queue, so the timers go first.
+class Closures {
+ public:
+  explicit Closures(EventQueue* q) : q_(q) {}
+
+  FnTimer& Schedule(TimeNs when, std::function<void()> fn) {
+    FnTimer& timer = timers_.emplace_back(q_, std::move(fn));
+    timer.Arm(when);
+    return timer;
+  }
+  FnTimer& ScheduleAfter(TimeNs delay, std::function<void()> fn) {
+    return Schedule(q_->now() + delay, std::move(fn));
+  }
+
+ private:
+  EventQueue* q_;
+  std::deque<FnTimer> timers_;  // stable addresses
+};
+
 TEST(EventQueueTest, ExecutesInTimeOrder) {
   EventQueue q;
+  Closures c(&q);
   std::vector<int> order;
-  q.Schedule(Milliseconds(30), [&] { order.push_back(3); });
-  q.Schedule(Milliseconds(10), [&] { order.push_back(1); });
-  q.Schedule(Milliseconds(20), [&] { order.push_back(2); });
+  c.Schedule(Milliseconds(30), [&] { order.push_back(3); });
+  c.Schedule(Milliseconds(10), [&] { order.push_back(1); });
+  c.Schedule(Milliseconds(20), [&] { order.push_back(2); });
   q.RunAll();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(q.now(), Milliseconds(30));
@@ -29,9 +63,10 @@ TEST(EventQueueTest, ExecutesInTimeOrder) {
 
 TEST(EventQueueTest, TiesBreakFifo) {
   EventQueue q;
+  Closures c(&q);
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
-    q.Schedule(Milliseconds(10), [&order, i] { order.push_back(i); });
+    c.Schedule(Milliseconds(10), [&order, i] { order.push_back(i); });
   }
   q.RunAll();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -39,9 +74,10 @@ TEST(EventQueueTest, TiesBreakFifo) {
 
 TEST(EventQueueTest, RunUntilStopsAtBoundary) {
   EventQueue q;
+  Closures c(&q);
   int fired = 0;
-  q.Schedule(Milliseconds(10), [&] { ++fired; });
-  q.Schedule(Milliseconds(20), [&] { ++fired; });
+  c.Schedule(Milliseconds(10), [&] { ++fired; });
+  c.Schedule(Milliseconds(20), [&] { ++fired; });
   q.RunUntil(Milliseconds(15));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(q.now(), Milliseconds(15));
@@ -51,41 +87,76 @@ TEST(EventQueueTest, RunUntilStopsAtBoundary) {
 
 TEST(EventQueueTest, EventsCanScheduleEvents) {
   EventQueue q;
+  Closures c(&q);
   int depth = 0;
   std::function<void()> recurse = [&] {
     if (++depth < 5) {
-      q.ScheduleAfter(Milliseconds(1), recurse);
+      c.ScheduleAfter(Milliseconds(1), recurse);
     }
   };
-  q.Schedule(0, recurse);
+  c.Schedule(0, recurse);
   q.RunAll();
   EXPECT_EQ(depth, 5);
   EXPECT_EQ(q.now(), Milliseconds(4));
 }
 
-TEST(EventQueueTest, CancelSkipsEvent) {
+// A timer re-arms itself from its own Fire(), as the sender's MTP clock does.
+struct Ticker {
+  explicit Ticker(EventQueue* events) : q(events), timer(events, this) {}
+  void Tick() {
+    ticks.push_back(q->now());
+    if (ticks.size() < 4) {
+      timer.Arm(q->now() + Milliseconds(30));
+    }
+  }
+  EventQueue* q;
+  Timer<Ticker, &Ticker::Tick> timer;
+  std::vector<TimeNs> ticks;
+};
+
+TEST(EventQueueTest, MemberTimerCallsItsOwnerAndRearmsFromFire) {
   EventQueue q;
-  int fired = 0;
-  const uint64_t id = q.Schedule(Milliseconds(10), [&] { ++fired; });
-  q.Schedule(Milliseconds(20), [&] { ++fired; });
-  q.Cancel(id);
+  Ticker ticker(&q);
+  EXPECT_FALSE(ticker.timer.pending());
+  ticker.timer.Arm(Milliseconds(30));
+  EXPECT_TRUE(ticker.timer.pending());
+  EXPECT_EQ(ticker.timer.when(), Milliseconds(30));
   q.RunAll();
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(ticker.ticks, (std::vector<TimeNs>{Milliseconds(30), Milliseconds(60),
+                                               Milliseconds(90), Milliseconds(120)}));
+  EXPECT_FALSE(ticker.timer.pending());
+  EXPECT_EQ(q.executed(), 4u);
+  EXPECT_EQ(q.timer_count(), 1u);
+}
+
+// Re-arming a pending timer moves it: it fires once, at its last arm.
+TEST(EventQueueTest, ReArmFiresOnceAtLastArm) {
+  EventQueue q;
+  Closures c(&q);
+  std::vector<TimeNs> fired_at;
+  FnTimer& moved = c.Schedule(Milliseconds(10), [&] { fired_at.push_back(q.now()); });
+  c.Schedule(Milliseconds(20), [&] { fired_at.push_back(q.now()); });
+  moved.Arm(Milliseconds(30));
+  EXPECT_EQ(q.pending(), 2u);
+  q.RunAll();
+  EXPECT_EQ(fired_at, (std::vector<TimeNs>{Milliseconds(20), Milliseconds(30)}));
 }
 
 TEST(EventQueueTest, ExecutedCountsOnlyRunEvents) {
   EventQueue q;
-  q.Schedule(Milliseconds(1), [] {});
-  const uint64_t id = q.Schedule(Milliseconds(2), [] {});
-  q.Cancel(id);
+  Closures c(&q);
+  c.Schedule(Milliseconds(1), [] {});
+  FnTimer& moved = c.Schedule(Milliseconds(2), [] {});
+  moved.Arm(Milliseconds(3));  // the 2 ms entry turns dead and never runs
   q.RunAll();
-  EXPECT_EQ(q.executed(), 1u);
+  EXPECT_EQ(q.executed(), 2u);
 }
 
 TEST(EventQueueTest, RunUntilLandsOnBoundaryWhenDrainedEarly) {
   EventQueue q;
+  Closures c(&q);
   int fired = 0;
-  q.Schedule(Milliseconds(10), [&] { ++fired; });
+  c.Schedule(Milliseconds(10), [&] { ++fired; });
   q.RunUntil(Milliseconds(50));  // queue drains at 10ms; clock must still land on 50ms
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(q.now(), Milliseconds(50));
@@ -98,11 +169,12 @@ TEST(EventQueueTest, RunUntilLandsOnBoundaryWhenDrainedEarly) {
 // different insertion epochs.
 TEST(EventQueueTest, SameTickFifoAcrossBucketBoundaries) {
   EventQueue q;
+  Closures c(&q);
   std::vector<std::pair<TimeNs, int>> order;
   constexpr int kEvents = 2000;
   for (int i = 0; i < kEvents; ++i) {
     const TimeNs when = Milliseconds((i * 7919) % 50);  // 50 ticks, 40 duplicates each
-    q.Schedule(when, [&order, when, i] { order.emplace_back(when, i); });
+    c.Schedule(when, [&order, when, i] { order.emplace_back(when, i); });
   }
   q.RunAll();
   ASSERT_EQ(order.size(), static_cast<size_t>(kEvents));
@@ -118,6 +190,7 @@ TEST(EventQueueTest, SameTickFifoAcrossBucketBoundaries) {
 // FIFO) order across skews from microseconds to hours.
 TEST(EventQueueTest, OrderHoldsAcrossLargeTimeSkews) {
   EventQueue q;
+  Closures c(&q);
   std::vector<uint64_t> order;
   std::vector<TimeNs> whens;
   uint64_t x = 42;
@@ -126,7 +199,7 @@ TEST(EventQueueTest, OrderHoldsAcrossLargeTimeSkews) {
     x = x * 6364136223846793005ULL + 1442695040888963407ULL;
     const TimeNs when = Microseconds(1) << ((x >> 59));  // 1us * 2^[0,31]
     whens.push_back(when);
-    q.Schedule(when, [&order, i] { order.push_back(static_cast<uint64_t>(i)); });
+    c.Schedule(when, [&order, i] { order.push_back(static_cast<uint64_t>(i)); });
   }
   q.RunAll();
   ASSERT_EQ(order.size(), 500u);
@@ -137,55 +210,65 @@ TEST(EventQueueTest, OrderHoldsAcrossLargeTimeSkews) {
   }
 }
 
-// A cancelled event's pooled slot is recycled by later schedules; the stale
-// handle's generation must no longer match, so cancelling it again (or the
-// original callback) cannot touch the new occupant.
-TEST(EventQueueTest, CancelThenRescheduleReusesSlotWithoutStaleFire) {
+// A re-armed timer's earlier entry stays in the heap but never fires: not
+// when it reaches the top before the new one (re-armed later), not after it
+// (re-armed earlier), and not once the timer has fired and been re-armed
+// again.
+TEST(EventQueueTest, ReArmedTimerNeverFiresItsStaleEntry) {
   EventQueue q;
-  int stale_fired = 0;
-  int fresh_fired = 0;
-  const uint64_t stale = q.Schedule(Milliseconds(10), [&] { ++stale_fired; });
-  q.Cancel(stale);
-  // Drain so the cancelled slot is freed, then reschedule into it.
+  Closures c(&q);
+  std::vector<TimeNs> fired_at;
+  FnTimer& timer = c.Schedule(Milliseconds(10), [&] { fired_at.push_back(q.now()); });
+  timer.Arm(Milliseconds(20));  // later: the 10 ms entry turns stale
+  q.RunUntil(Milliseconds(15));
+  EXPECT_TRUE(fired_at.empty());
+  EXPECT_TRUE(timer.pending());
+  q.RunUntil(Milliseconds(20));
+  EXPECT_EQ(fired_at, (std::vector<TimeNs>{Milliseconds(20)}));
+  EXPECT_FALSE(timer.pending());
+
+  timer.Arm(Milliseconds(40));
+  timer.Arm(Milliseconds(30));  // earlier: the 40 ms entry turns stale
   q.RunAll();
-  const uint64_t fresh = q.Schedule(Milliseconds(20), [&] { ++fresh_fired; });
-  EXPECT_NE(stale, fresh);  // generation differs even if the slot index matches
-  q.Cancel(stale);          // stale handle: must be a no-op, not cancel `fresh`
-  q.RunAll();
-  EXPECT_EQ(stale_fired, 0);
-  EXPECT_EQ(fresh_fired, 1);
-  EXPECT_GT(q.slots_recycled(), 0u);
+  EXPECT_EQ(fired_at, (std::vector<TimeNs>{Milliseconds(20), Milliseconds(30)}));
+  EXPECT_EQ(q.now(), Milliseconds(30));  // the stale 40 ms entry ran nothing
+  EXPECT_EQ(q.executed(), 2u);
+  EXPECT_EQ(q.pending(), 0u);
 }
 
 // Regression for the seed scheduler's O(n) cancel scan: 100k timers that are
-// each cancelled and re-armed (the sender's RTO pattern). Linear-scan
-// cancellation makes this quadratic (~10^10 steps); the pooled O(1) Cancel
+// each armed and then re-armed (the per-ACK RTO re-arm pattern). Linear-scan
+// cancellation made this quadratic (~10^10 steps); a re-arm is O(log n) and
 // keeps it well under the generous wall-clock bound. The executed-events
 // counter pins the exact amount of work done.
 TEST(EventQueueTest, HundredThousandTimerChurnIsSubQuadratic) {
   constexpr size_t kTimers = 100'000;
   EventQueue q;
+  Closures c(&q);
   const auto start = std::chrono::steady_clock::now();
-  std::vector<uint64_t> ids(kTimers);
+  std::vector<FnTimer*> timers(kTimers);
   uint64_t fired = 0;
-  // Arm, cancel and re-arm every timer; only the re-armed generation fires.
+  uint64_t fired_early = 0;
+  // Arm and re-arm every timer; only the last arm fires.
   for (size_t i = 0; i < kTimers; ++i) {
-    ids[i] = q.Schedule(Milliseconds(100) + static_cast<TimeNs>(i), [&] { ++fired; });
+    timers[i] = &c.Schedule(Milliseconds(100) + static_cast<TimeNs>(i), [&] {
+      ++fired;
+      fired_early += q.now() < Milliseconds(200) ? 1 : 0;
+    });
   }
   for (size_t i = 0; i < kTimers; ++i) {
-    q.Cancel(ids[i]);
+    timers[i]->Arm(Milliseconds(200) + static_cast<TimeNs>(i));
   }
-  EXPECT_EQ(q.pending(), 0u);
-  for (size_t i = 0; i < kTimers; ++i) {
-    q.Schedule(Milliseconds(200) + static_cast<TimeNs>(i), [&] { ++fired; });
-  }
+  EXPECT_EQ(q.pending(), kTimers);
   q.RunAll();
   EXPECT_EQ(fired, kTimers);
-  EXPECT_EQ(q.executed(), kTimers);  // cancelled events never dispatched
+  EXPECT_EQ(fired_early, 0u);
+  EXPECT_EQ(q.executed(), kTimers);  // stale entries never dispatched
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  // ~300k O(1) operations: milliseconds in practice. The bound is two orders
-  // of magnitude slack for CI noise, yet another two-plus below quadratic.
+  // ~300k O(log n) operations: milliseconds in practice. The bound is two
+  // orders of magnitude slack for CI noise, yet another two-plus below
+  // quadratic.
   EXPECT_LT(elapsed, 10.0);
 }
 
@@ -193,12 +276,13 @@ TEST(EventQueueTest, HundredThousandTimerChurnIsSubQuadratic) {
 // the events behind it still run in order.
 TEST(EventQueueTest, ThrowingEventIsNotRunAgain) {
   EventQueue q;
+  Closures c(&q);
   std::vector<int> order;
-  q.Schedule(Milliseconds(1), [&order] {
+  c.Schedule(Milliseconds(1), [&order] {
     order.push_back(1);
     throw std::runtime_error("event failed");
   });
-  q.Schedule(Milliseconds(2), [&order] { order.push_back(2); });
+  c.Schedule(Milliseconds(2), [&order] { order.push_back(2); });
   EXPECT_THROW(q.RunAll(), std::runtime_error);
   EXPECT_EQ(q.pending(), 1u);
   q.RunAll();
@@ -208,12 +292,12 @@ TEST(EventQueueTest, ThrowingEventIsNotRunAgain) {
 
 // Reference scheduler for the differential tests: a std::map executing the
 // same (when, insertion-order) total order. It keys ties on an insertion
-// counter — the queue's documented FIFO tie-break — because cancel handles
-// encode slot/generation and do not themselves order events. Every
-// Schedule() and every line Push() takes the next counter value, as each
-// takes the next seq from the queue.
+// counter — the queue's documented FIFO tie-break. Every Arm() and every
+// line Push() takes the next counter value, as each takes the next seq from
+// the queue. A fired event is logged as (label, time).
 struct ReferenceQueue {
   using Key = std::pair<TimeNs, uint64_t>;  // (when, insertion counter)
+  using Fired = std::pair<uint64_t, TimeNs>;  // (label, when)
 
   Key Insert(TimeNs when, uint64_t label) {
     const Key key{when, insertions++};
@@ -225,52 +309,70 @@ struct ReferenceQueue {
     while (!pending.empty() && pending.begin()->first.first <= until) {
       const auto it = pending.begin();
       now = it->first.first;
-      executed.push_back(it->second);
+      executed.emplace_back(it->second, now);
       pending.erase(it);
     }
     now = std::max(now, until);
   }
 
   std::map<Key, uint64_t> pending;  // -> step label
-  std::vector<uint64_t> executed;
+  std::vector<Fired> executed;
   TimeNs now = 0;
   uint64_t insertions = 0;
 };
 
-// Differential check: a random schedule/cancel/run workload against the
+// A pending closure timer of a differential test and its reference key.
+struct LiveTimer {
+  FnTimer* timer;
+  ReferenceQueue::Key key;
+};
+
+// Re-arms a pseudo-random pending timer up to 40 ms from now — earlier or
+// later than its current arm — in the queue and in the reference. It must
+// then fire once, at its last armed (when, seq).
+void ReArmRandomTimer(EventQueue& q, ReferenceQueue& reference,
+                      std::map<uint64_t, LiveTimer>& live, Rng& rng) {
+  auto it = live.begin();
+  std::advance(it, rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+  const TimeNs when = q.now() + rng.UniformInt(0, Milliseconds(40));
+  it->second.timer->Arm(when);
+  reference.pending.erase(it->second.key);
+  it->second.key = reference.Insert(when, it->first);
+}
+
+// Drops the timers the reference has fired, so `live` only holds genuinely
+// pending ones.
+void DropFired(const ReferenceQueue& reference, std::map<uint64_t, LiveTimer>& live) {
+  for (auto it = live.begin(); it != live.end();) {
+    it = reference.pending.count(it->second.key) == 0 ? live.erase(it) : std::next(it);
+  }
+}
+
+// Differential check: a random schedule/re-arm/run workload against the
 // ordered-map reference.
 TEST(EventQueueTest, RandomizedDifferentialAgainstOrderedMapReference) {
   EventQueue q;
+  Closures c(&q);
   ReferenceQueue reference;
-  std::map<uint64_t, ReferenceQueue::Key> live;  // cancel handle -> key
-  std::vector<uint64_t> executed_queue;
+  std::map<uint64_t, LiveTimer> live;  // label -> pending timer
+  std::vector<ReferenceQueue::Fired> executed_queue;
   Rng rng(20260808);
 
   for (int step = 0; step < 20'000; ++step) {
+    const uint64_t label = static_cast<uint64_t>(step);
     const double roll = rng.Uniform();
     if (roll < 0.55) {
       const TimeNs when = q.now() + rng.UniformInt(0, Milliseconds(40));
-      const uint64_t id =
-          q.Schedule(when, [&executed_queue, step] {
-            executed_queue.push_back(static_cast<uint64_t>(step));
-          });
-      live[id] = reference.Insert(when, static_cast<uint64_t>(step));
+      FnTimer& timer = c.Schedule(
+          when, [&executed_queue, &q, label] { executed_queue.emplace_back(label, q.now()); });
+      live[label] = LiveTimer{&timer, reference.Insert(when, label)};
     } else if (roll < 0.75 && !live.empty()) {
-      // Cancel a pseudo-random live event.
-      auto it = live.begin();
-      std::advance(it, rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
-      q.Cancel(it->first);
-      reference.pending.erase(it->second);
-      live.erase(it);
+      ReArmRandomTimer(q, reference, live, rng);
     } else {
       const TimeNs until = q.now() + rng.UniformInt(0, Milliseconds(10));
       q.RunUntil(until);
       reference.RunUntil(until);
-      // Drop reference entries for events the queue just executed, so `live`
-      // only holds genuinely pending handles.
-      for (auto it = live.begin(); it != live.end();) {
-        it = reference.pending.count(it->second) == 0 ? live.erase(it) : std::next(it);
-      }
+      DropFired(reference, live);
       ASSERT_EQ(q.now(), reference.now);
       ASSERT_EQ(executed_queue, reference.executed);
     }
@@ -293,22 +395,23 @@ using TestLine = DelayLine<uint64_t, LineLog, &LineLog::Deliver>;
 // its head entry is only scheduled later, after the item ahead of it ran.
 // A plain event at 10 ms that logs kPlain.
 constexpr uint64_t kPlain = 100;
-void SchedulePlain(EventQueue& q, std::vector<uint64_t>* log) {
-  q.Schedule(Milliseconds(10), [log] { log->push_back(kPlain); });
+void SchedulePlain(Closures& c, std::vector<uint64_t>* log) {
+  c.Schedule(Milliseconds(10), [log] { log->push_back(kPlain); });
 }
 
 TEST(EventQueueTest, LineItemAndPlainEventAtSameWhenFollowReservedSeq) {
   for (const bool plain_first : {true, false}) {
     EventQueue q;
+    Closures c(&q);
     std::vector<uint64_t> log;
     LineLog sink{&log};
     TestLine line(&q, &sink, Milliseconds(10));
     if (plain_first) {
-      SchedulePlain(q, &log);
+      SchedulePlain(c, &log);
       line.Push(1);
     } else {
       line.Push(1);
-      SchedulePlain(q, &log);
+      SchedulePlain(c, &log);
     }
     q.RunAll();
     EXPECT_EQ(log, plain_first ? (std::vector<uint64_t>{kPlain, 1})
@@ -321,16 +424,17 @@ TEST(EventQueueTest, LineItemAndPlainEventAtSameWhenFollowReservedSeq) {
   // the push, after one scheduled before it.
   for (const bool plain_between : {true, false}) {
     EventQueue q;
+    Closures c(&q);
     std::vector<uint64_t> log;
     LineLog sink{&log};
     TestLine line(&q, &sink, Milliseconds(10));
     line.Push(1);
     if (plain_between) {
-      SchedulePlain(q, &log);
+      SchedulePlain(c, &log);
       line.Push(2);
     } else {
       line.Push(2);
-      SchedulePlain(q, &log);
+      SchedulePlain(c, &log);
     }
     q.RunAll();
     EXPECT_EQ(log, plain_between ? (std::vector<uint64_t>{1, kPlain, 2})
@@ -343,6 +447,7 @@ TEST(EventQueueTest, LineItemAndPlainEventAtSameWhenFollowReservedSeq) {
 // many items it carries; executed() counts every delivered item.
 TEST(EventQueueTest, PendingCountsLineHeadsOnly) {
   EventQueue q;
+  Closures c(&q);
   std::vector<uint64_t> log;
   LineLog sink{&log};
   TestLine line(&q, &sink, Milliseconds(5));
@@ -351,7 +456,7 @@ TEST(EventQueueTest, PendingCountsLineHeadsOnly) {
   }
   EXPECT_EQ(q.pending(), 1u);
   EXPECT_EQ(line.size(), 40u);
-  q.Schedule(Milliseconds(1), [] {});
+  c.Schedule(Milliseconds(1), [] {});
   EXPECT_EQ(q.pending(), 2u);
   q.RunUntil(Milliseconds(2));
   EXPECT_EQ(q.pending(), 1u);
@@ -391,49 +496,57 @@ TEST(EventQueueTest, DelayLineRingWrapsAndGrowsInFifoOrder) {
   EXPECT_EQ(q.executed(), next);
 }
 
-// A line destroyed with items in flight drops its head entry: nothing of it
-// runs afterwards and pending() no longer counts it.
+// A line destroyed with items in flight drops its head entry, and a plain
+// timer destroyed while armed drops its entry: nothing of either runs
+// afterwards and pending() no longer counts them.
 TEST(EventQueueTest, DestroyedLineDropsItsItems) {
   EventQueue q;
+  Closures c(&q);
   std::vector<uint64_t> log;
   LineLog sink{&log};
   int plain = 0;
+  int destroyed_fired = 0;
+  c.Schedule(Milliseconds(10), [&plain] { ++plain; });
   {
     TestLine line(&q, &sink, Milliseconds(5));
     line.Push(1);
     line.Push(2);
-    q.Schedule(Milliseconds(10), [&plain] { ++plain; });
-    EXPECT_EQ(q.pending(), 2u);
+    FnTimer destroyed(&q, [&destroyed_fired] { ++destroyed_fired; });
+    destroyed.Arm(Milliseconds(7));
+    EXPECT_EQ(q.pending(), 3u);
   }
   EXPECT_EQ(q.pending(), 1u);
   q.RunAll();
   EXPECT_TRUE(log.empty());
+  EXPECT_EQ(destroyed_fired, 0);
   EXPECT_EQ(plain, 1);
   EXPECT_EQ(q.executed(), 1u);
 }
 
 // Differential check with delay lines: several lines of different delays
-// fed at random, mixed with random plain events, cancels and partial runs,
+// fed at random, mixed with random plain events, re-arms and partial runs,
 // against the same ordered-map reference (a line item is a reference entry
 // at push time + delay). Deliveries are pushed from inside plain events and
 // from inside other lines' deliveries too, as packets and ACKs are.
 TEST(EventQueueTest, RandomizedDifferentialWithDelayLines) {
   EventQueue q;
+  Closures c(&q);
   ReferenceQueue reference;
-  std::map<uint64_t, ReferenceQueue::Key> live;  // cancel handle -> key
-  std::vector<uint64_t> executed_queue;
+  std::map<uint64_t, LiveTimer> live;  // label -> pending timer
+  std::vector<ReferenceQueue::Fired> executed_queue;
   Rng rng(20261019);
 
   // Line i forwards every third item it delivers to line (i + 1) % kLines.
   constexpr int kLines = 4;
   struct Forwarder {
     void Deliver(const uint64_t& label) {
-      executed->push_back(label);
+      executed->emplace_back(label, q->now());
       if (label % 3 == 0) {
         forward(label + 1'000'000);
       }
     }
-    std::vector<uint64_t>* executed;
+    EventQueue* q;
+    std::vector<ReferenceQueue::Fired>* executed;
     std::function<void(uint64_t)> forward;
   };
   using ForwardLine = DelayLine<uint64_t, Forwarder, &Forwarder::Deliver>;
@@ -448,6 +561,7 @@ TEST(EventQueueTest, RandomizedDifferentialWithDelayLines) {
     lines[line]->Push(label);
   };
   for (int i = 0; i < kLines; ++i) {
+    forwarders[i].q = &q;
     forwarders[i].executed = &executed_queue;
     forwarders[i].forward = [&push, i](uint64_t label) { push((i + 1) % kLines, label); };
   }
@@ -463,26 +577,20 @@ TEST(EventQueueTest, RandomizedDifferentialWithDelayLines) {
       const TimeNs when = q.now() + (rng.Bernoulli(0.3) ? delays[rng.UniformInt(0, kLines - 1)]
                                                         : rng.UniformInt(0, Milliseconds(20)));
       const int target = rng.Bernoulli(0.2) ? static_cast<int>(rng.UniformInt(0, kLines - 1)) : -1;
-      const uint64_t id = q.Schedule(when, [&executed_queue, &push, label, target] {
-        executed_queue.push_back(label);
+      FnTimer& timer = c.Schedule(when, [&executed_queue, &push, &q, label, target] {
+        executed_queue.emplace_back(label, q.now());
         if (target >= 0) {
           push(target, label + 2'000'000);
         }
       });
-      live[id] = reference.Insert(when, label);
+      live[label] = LiveTimer{&timer, reference.Insert(when, label)};
     } else if (roll < 0.70 && !live.empty()) {
-      auto it = live.begin();
-      std::advance(it, rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
-      q.Cancel(it->first);
-      reference.pending.erase(it->second);
-      live.erase(it);
+      ReArmRandomTimer(q, reference, live, rng);
     } else {
       const TimeNs until = q.now() + rng.UniformInt(0, Milliseconds(8));
       q.RunUntil(until);
       reference.RunUntil(until);
-      for (auto it = live.begin(); it != live.end();) {
-        it = reference.pending.count(it->second) == 0 ? live.erase(it) : std::next(it);
-      }
+      DropFired(reference, live);
       ASSERT_EQ(q.now(), reference.now);
       ASSERT_EQ(executed_queue, reference.executed);
       ASSERT_EQ(q.executed(), reference.executed.size());

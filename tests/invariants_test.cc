@@ -126,12 +126,19 @@ TEST(InvariantsTest, InjectedBugDivergesEventTrace) {
   EXPECT_TRUE(differs);
 }
 
+// Owner of a timer that does nothing when it fires.
+struct Idle {
+  void Fire() {}
+};
+
 TEST(InvariantsTest, SchedulingInThePastThrowsInFatalMode) {
   invariants::ScopedMode fatal(invariants::Mode::kFatal);
   EventQueue events;
-  events.Schedule(Milliseconds(10), [] {});
+  Idle idle;
+  Timer<Idle, &Idle::Fire> timer(&events, &idle);
+  timer.Arm(Milliseconds(10));
   events.RunUntil(Milliseconds(10));
-  EXPECT_THROW(events.Schedule(Milliseconds(5), [] {}), invariants::Violation);
+  EXPECT_THROW(timer.Arm(Milliseconds(5)), invariants::Violation);
 }
 
 TEST(InvariantsTest, ScopedModeRestoresPreviousMode) {
