@@ -1,5 +1,6 @@
-// DelayLine: a FIFO pipe in which every item waits the same constant delay —
-// a link's propagation (Link) or an uncongested ACK return path (Receiver).
+// DelayLine: a FIFO pipe in which every item waits a constant delay — a
+// link's propagation to the next link (Link), or a flow's last-link
+// propagation plus its uncongested ACK return path (Receiver).
 //
 // A line is one EventQueue timer over a power-of-two ring of (when, seq,
 // item): the timer is armed for the head item only, so a pipe with n items in
@@ -10,6 +11,11 @@
 // the queue dispatches items in exactly the order one heap entry per item
 // would. Each delivery counts as one executed event.
 //
+// Push() takes an extra delay on top of the line's own (the Receiver adds
+// its last link's propagation). That keeps the order argument only while
+// every item's `when` is at least its predecessor's, so Push() checks it: a
+// line fed two different extra delays would otherwise reorder silently.
+//
 // The ring allocates on the first Push, not at construction.
 
 #ifndef SRC_SIM_DELAY_LINE_H_
@@ -19,6 +25,7 @@
 #include <vector>
 
 #include "src/sim/event_queue.h"
+#include "src/util/logging.h"
 #include "src/util/time.h"
 
 namespace astraea {
@@ -30,8 +37,12 @@ class DelayLine final : private EventQueue::TimerBase {
   DelayLine(EventQueue* events, Owner* owner, TimeNs delay)
       : TimerBase(events), owner_(owner), delay_(delay) {}
 
-  void Push(const T& item) {
-    const Item entry{events_->now() + delay_, events_->ReserveSeq(), item};
+  // Delivers `item` after the line's delay plus `extra`, and no earlier than
+  // the item pushed before it (checked).
+  void Push(const T& item, TimeNs extra = 0) {
+    const Item entry{events_->now() + delay_ + extra, events_->ReserveSeq(), item};
+    ASTRAEA_CHECK(size_ == 0 ||
+                  entry.when >= ring_[(head_ + size_ - 1) & (ring_.size() - 1)].when);
     if (size_ == ring_.size()) {
       Grow();
     }

@@ -38,17 +38,18 @@ void Receiver::set_sender(Sender* sender) {
   }
 }
 
-void Receiver::Accept(PacketRef ref) {
+bool Receiver::AcceptAfter(PacketRef ref, TimeNs delay) {
   // Copy the ACK fields out and return the slot: the packet's life ends here.
   const Packet& pkt = pool_->Get(ref);
   const Ack ack{pkt.seq, pkt.sent_time, pkt.size_bytes, pkt.ecn_ce};
   pool_->Release(ref);
   received_bytes_ += ack.size_bytes;
-  if (sender_ == nullptr) {
-    return;
+  if (sender_ != nullptr) {
+    // The rest of the last hop, then the uncongested reverse path: the ACK
+    // arrives after a pure delay.
+    acks_.Push(ack, delay);
   }
-  // The reverse path is uncongested: the ACK arrives after a pure delay.
-  acks_.Push(ack);
+  return true;
 }
 
 void Receiver::AckArrived(const Ack& ack) {

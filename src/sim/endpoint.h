@@ -3,6 +3,15 @@
 // return over an uncongested reverse path modelled as a pure delay (the
 // Mahimahi/Pantheon-tunnel setup the paper trains and evaluates in).
 //
+// The last hop is fused: the flow's last link hands each packet to the
+// receiver when it finishes service there (AcceptAfter), not after its
+// propagation. The receiver acknowledges it at once onto its one ACK line,
+// whose delay is the last link's propagation plus the return delay, so the
+// ACK reaches the sender at the same time as before with one event fewer
+// per packet. The ACK therefore takes its FIFO seq at that service
+// completion: a timer armed between the completion and the packet's arrival
+// at the receiver, due in the same nanosecond as the ACK, fires after it.
+//
 // Loss detection: queues are FIFO and there is a single path, so a gap in the
 // acknowledged sequence space reliably identifies drops (perfect-SACK
 // equivalent of 3-dup-ACK detection); an RTO fallback covers tail losses.
@@ -34,9 +43,10 @@ namespace astraea {
 class Sender;
 
 // Terminal sink of a data route: acknowledges each packet back to the sender
-// after the configured reverse-path delay. ACKs wait in a DelayLine; a sender
-// destroyed while ACKs are in flight (teardown mid-simulation) clears the
-// receiver's pointer, and those ACKs are then silently discarded.
+// after the last link's propagation plus the configured reverse-path delay.
+// ACKs wait in a DelayLine; a sender destroyed while ACKs are in flight
+// (teardown mid-simulation) clears the receiver's pointer, and those ACKs are
+// then silently discarded.
 class Receiver : public PacketSink {
  public:
   Receiver(EventQueue* events, PacketPool* pool, Sender* sender, TimeNs ack_return_delay);
@@ -45,14 +55,21 @@ class Receiver : public PacketSink {
   Receiver(const Receiver&) = delete;
   Receiver& operator=(const Receiver&) = delete;
 
-  // Terminal hop: copies out the ACK fields and releases the packet slot.
-  void Accept(PacketRef ref) override;
+  // Terminal hop, from the last link as it finishes serving `ref`, `delay`
+  // (its propagation) before the packet would arrive: copies out the ACK
+  // fields, releases the packet slot, counts the bytes received and queues
+  // the ACK for `delay` plus the return delay. Always takes the packet.
+  bool AcceptAfter(PacketRef ref, TimeNs delay) override;
+  // A route with no link: the packet arrives now.
+  void Accept(PacketRef ref) override { AcceptAfter(ref, 0); }
 
   // Late binding used by Network: the receiver must exist before the sender
   // (the data route ends with the receiver), so the back-pointer is set after
   // both are constructed. A sender has at most one receiver.
   void set_sender(Sender* sender);
 
+  // Bytes handed over by the last link, counted when they finish service
+  // there (their ACKs may still be in the line).
   uint64_t received_bytes() const { return received_bytes_; }
 
  private:
@@ -69,6 +86,8 @@ class Receiver : public PacketSink {
 
   PacketPool* pool_;
   Sender* sender_ = nullptr;  // null (never set, or destroyed): ACKs are dropped
+  // Delay: the return path; each ACK adds its packet's last-link
+  // propagation (constant per flow, so the line stays FIFO).
   DelayLine<Ack, Receiver, &Receiver::AckArrived> acks_;
   uint64_t received_bytes_ = 0;
 };

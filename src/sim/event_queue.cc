@@ -35,7 +35,7 @@ void EventQueue::TimerBase::ArmReserved(TimeNs when, uint64_t seq) {
   q.BeforePush(when);
   armed_seq_ = seq;
   when_ = when;
-  q.Push(Entry{when, seq, id_});
+  q.Push(when, seq, id_);
 }
 
 void EventQueue::Register(TimerBase* timer) {
@@ -75,16 +75,16 @@ void EventQueue::BeforePush(TimeNs when) {
   }
 }
 
-void EventQueue::Push(Entry entry) {
+void EventQueue::Push(TimeNs when, uint64_t seq, uint32_t timer) {
   ++live_;
   if (top_spent_) {
     // The first entry the running timer arms takes the place of its spent
     // entry on top: one sift-down instead of a pop and a push.
     top_spent_ = false;
-    ReplaceTop(entry);
+    ReplaceTop(when, seq, timer);
     return;
   }
-  heap_.push_back(entry);
+  heap_.push_back(Entry{when, seq, timer});
   std::push_heap(heap_.begin(), heap_.end(), FiresLater());
   heap_max_ = std::max(heap_max_, heap_.size());
 }
@@ -104,8 +104,9 @@ void EventQueue::PopTop() {
   heap_.pop_back();
 }
 
-void EventQueue::ReplaceTop(Entry entry) {
+void EventQueue::ReplaceTop(TimeNs when, uint64_t seq, uint32_t timer) {
   // Sift the new top down; `entry` fires no earlier than the one it replaces.
+  const Entry entry{when, seq, timer};
   const FiresLater fires_later;
   const size_t n = heap_.size();
   size_t hole = 0;

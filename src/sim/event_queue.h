@@ -23,12 +23,13 @@
 //  * A running timer's entry stays on top of the heap until the timer arms
 //    its first entry, which takes its place with one sift-down instead of a
 //    pop and a push.
-//  * Constant-delay pipes (link propagation, ACK return) are DelayLines (see
-//    delay_line.h): timers over a FIFO ring whose items each reserve their
-//    seq on entry; the line arms itself for its head item with that reserved
-//    seq. Within a line `when` and the reserved seq both only grow, so the
-//    head is the line's (when, seq) minimum and the dispatch order is exactly
-//    that of one heap entry per item.
+//  * Constant-delay pipes (link-to-link propagation; a flow's last-link
+//    propagation plus its ACK return) are DelayLines (see delay_line.h):
+//    timers over a FIFO ring whose items each reserve their seq on entry; the
+//    line arms itself for its head item with that reserved seq. Within a
+//    line `when` and the reserved seq both only grow, so the head is the
+//    line's (when, seq) minimum and the dispatch order is exactly that of one
+//    heap entry per item.
 //
 // Timers must not outlive their queue: an owner declares its EventQueue
 // before (or holds it longer than) the components whose timers it serves.
@@ -145,9 +146,11 @@ class EventQueue {
 
   // Schedule-time checks (causality) and upkeep (compaction) for an entry
   // at `when`; Push() then adds it as a live entry, in place of the running
-  // timer's spent entry if that is still on top.
+  // timer's spent entry if that is still on top. The entry travels as
+  // fields, in registers: a by-value Entry is passed in memory, and the
+  // callee's 16-byte reload of the caller's scalar stores stalls.
   void BeforePush(TimeNs when);
-  void Push(Entry entry);
+  void Push(TimeNs when, uint64_t seq, uint32_t timer);
   // The entry of a destroyed timer, or of one re-armed since.
   bool IsDead(const Entry& entry) const {
     const TimerBase* timer = timers_[entry.timer];
@@ -160,7 +163,7 @@ class EventQueue {
   void PopTop();
   // Overwrites the top with an entry that fires no earlier, then restores
   // the heap order.
-  void ReplaceTop(Entry entry);
+  void ReplaceTop(TimeNs when, uint64_t seq, uint32_t timer);
   // Pops the running timer's spent entry unless Push() already replaced it.
   void DropSpentTop();
 

@@ -124,8 +124,8 @@ void Link::FinishService() {
   if (config_.random_loss > 0.0 && rng_.Bernoulli(config_.random_loss)) {
     wire_lost_bytes_ += size;
     pool_->Release(ref);
-  } else {
-    wire_.Push(ref);
+  } else if (!(*pkt.route)[pkt.hop + 1]->AcceptAfter(ref, config_.propagation_delay)) {
+    wire_.Push(ref);  // the next hop is a link: it takes the packet on arrival
   }
   if (invariants::Enabled()) {
     // FIFO per flow: this link must deliver a flow's packets in the order the

@@ -1,6 +1,11 @@
 // A unidirectional bottleneck link: DropTail byte-capacity queue, a service
 // process at a (possibly time-varying) rate, fixed propagation delay and
 // optional iid non-congestive loss applied on the wire.
+//
+// The last hop is fused: a packet that finishes service on its flow's last
+// link goes straight to the Receiver (PacketSink::AcceptAfter), which folds
+// this link's propagation into its ACK line. The wire line carries only
+// link-to-link hops of multi-link paths.
 
 #ifndef SRC_SIM_LINK_H_
 #define SRC_SIM_LINK_H_
@@ -46,6 +51,9 @@ class Link : public PacketSink {
   RateBps current_rate() const { return provider_->RateAt(events_->now()); }
   // Bytes of the packet currently in the service process (0 when idle).
   uint64_t in_service_bytes() const { return in_service_bytes_; }
+  // Packets past service propagating to the next link (always 0 on a last
+  // hop, whose packets go straight to the receiver).
+  size_t wire_packets() const { return wire_.size(); }
 
   // Cumulative counters.
   uint64_t delivered_bytes() const { return delivered_bytes_; }
@@ -70,9 +78,10 @@ class Link : public PacketSink {
 
  private:
   void StartService(PacketRef ref);
-  // Service timer: `in_service_` has been transmitted.
+  // Service timer: `in_service_` has been transmitted. Offers it to the next
+  // hop's AcceptAfter(); a next link declines and gets it off the wire.
   void FinishService();
-  // End of the propagation delay: hands the packet to its next hop.
+  // End of the propagation delay: hands the packet to the next link.
   void Propagated(const PacketRef& ref) { ForwardToNextHop(*pool_, ref); }
 
   EventQueue* events_;
@@ -80,7 +89,8 @@ class Link : public PacketSink {
   std::shared_ptr<RateProvider> provider_;
   Rng rng_;
   PacketPool* pool_;
-  // Packets past service, in flight for config_.propagation_delay.
+  // Packets past service, in flight for config_.propagation_delay to the
+  // next link of their route.
   DelayLine<PacketRef, Link, &Link::Propagated> wire_;
   // Pending while a packet is in service (the link is busy).
   Timer<Link, &Link::FinishService> service_timer_;

@@ -134,9 +134,11 @@ void Network::PublishPoolMetrics() const {
   metrics.GetGauge("sim.pool.packets_capacity").Set(static_cast<double>(pool_.capacity()));
   metrics.GetGauge("sim.pool.packets_recycled_total").Set(static_cast<double>(pool_.recycled()));
   metrics.GetGauge("sim.pool.events_pending").Set(static_cast<double>(events_.pending()));
-  // Scheduler health: the timers registered, the heap's high-water size, and
+  // Scheduler work and health: events run (so events per acked packet reads
+  // from a scrape), the timers registered, the heap's high-water size, and
   // the deepest constant-delay line (packets or ACKs in flight behind one
   // heap entry).
+  metrics.GetGauge("sim.sched.events_total").Set(static_cast<double>(events_.executed()));
   metrics.GetGauge("sim.sched.timers").Set(static_cast<double>(events_.timer_count()));
   metrics.GetGauge("sim.sched.heap_max").Set(static_cast<double>(events_.heap_max()));
   metrics.GetGauge("sim.lines.items_max").Set(static_cast<double>(events_.line_items_max()));

@@ -49,6 +49,13 @@ class PacketSink {
  public:
   virtual ~PacketSink() = default;
   virtual void Accept(PacketRef ref) = 0;
+
+  // The last hop, fused: a link that has just served `ref` offers it to the
+  // next sink on its route `delay` (the link's propagation) before it would
+  // arrive. A sink that carries that delay itself takes ownership and
+  // returns true (the Receiver adds it to its ACK line's delay); the default
+  // declines, and the link carries the packet on its wire line to Accept().
+  virtual bool AcceptAfter(PacketRef /*ref*/, TimeNs /*delay*/) { return false; }
 };
 
 }  // namespace astraea

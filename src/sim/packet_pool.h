@@ -90,7 +90,8 @@ class PacketPool {
 };
 
 // Forwards `ref` to the next sink on its route. Called by links after the
-// propagation delay elapses. Ownership moves to the next sink.
+// propagation delay elapses, for next sinks that decline AcceptAfter() (the
+// next link of a multi-link path). Ownership moves to the next sink.
 inline void ForwardToNextHop(PacketPool& pool, PacketRef ref) {
   Packet& pkt = pool.Get(ref);
   pkt.hop += 1;

@@ -336,6 +336,103 @@ TEST(ReceiverTest, CountsReceivedBytes) {
   EXPECT_GT(t.net->flow_stats(0).bytes_acked, 0u);
 }
 
+LinkConfig LastHopLink() {
+  LinkConfig config;
+  config.rate = Mbps(100);  // 1500 B served in 120 us
+  config.propagation_delay = Milliseconds(5);
+  config.buffer_bytes = 1'000'000;
+  return config;
+}
+
+// The last hop is fused: an ACK takes its FIFO seq when its packet finishes
+// service on the last link, not when the packet would reach the receiver one
+// propagation later. A timer due in the same nanosecond as the ACK therefore
+// fires after it when armed after that service completion (even before the
+// packet reaches the receiver), and before it when armed earlier.
+TEST(ReceiverTest, AckTakesItsSeqAtLastLinkServiceCompletion) {
+  const TimeNs served = Microseconds(120);
+  const TimeNs ack_due = served + Milliseconds(5) + Milliseconds(10);
+  for (const TimeNs armed_at : {TimeNs{0}, Milliseconds(1)}) {
+    SCOPED_TRACE(armed_at < served ? "armed before service completion"
+                                   : "armed between service completion and arrival");
+    EventQueue events;
+    PacketPool pool;
+    Link link(&events, LastHopLink(), Rng(1), &pool);
+    Receiver receiver(&events, &pool, nullptr, /*ack_return_delay=*/Milliseconds(10));
+    auto owned_cc = std::make_unique<FixedWindow>(1500);
+    FixedWindow* cc = owned_cc.get();
+    Sender sender(&events, &pool, 0, Route{&link, &receiver}, std::move(owned_cc),
+                  SenderConfig{});
+    receiver.set_sender(&sender);
+    std::deque<FnTimer> timers;  // after `events`: the timers go first
+    const auto schedule = [&](TimeNs when, std::function<void()> fn) {
+      timers.emplace_back(&events, std::move(fn)).Arm(when);
+    };
+    int acks_at_fire = -1;
+    sender.Start();  // seq 0 and 1 (two MSS minimum) enter the link at t=0
+    schedule(armed_at, [&] { schedule(ack_due, [&] { acks_at_fire = cc->acks; }); });
+    events.RunUntil(ack_due);
+    EXPECT_EQ(acks_at_fire, armed_at < served ? 0 : 1);
+    EXPECT_EQ(cc->acks, 1);
+  }
+}
+
+// A packet leaving its last link goes straight onto the receiver's ACK line:
+// the last link's wire line never holds a packet (only link-to-link hops use
+// a wire line), the bytes count as received at that service completion, and
+// each delivered packet costs one service completion per link, one wire
+// delivery per link-to-link hop and exactly one ACK-line delivery.
+TEST(ReceiverTest, LastLinkHandsPacketsStraightToTheAckLine) {
+  constexpr uint64_t kPackets = 20;
+  for (const size_t hops : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(hops == 1 ? "one link" : "two links");
+    EventQueue events;
+    PacketPool pool;
+    std::vector<std::unique_ptr<Link>> links;
+    Route route;
+    for (size_t i = 0; i < hops; ++i) {
+      links.push_back(std::make_unique<Link>(&events, LastHopLink(), Rng(i + 1), &pool));
+      route.push_back(links.back().get());
+    }
+    Receiver receiver(&events, &pool, nullptr, /*ack_return_delay=*/Milliseconds(10));
+    route.push_back(&receiver);
+    // Never started: the ACKs reach it (and count as events) but change nothing.
+    Sender sender(&events, &pool, 0, route, std::make_unique<FixedWindow>(1500),
+                  SenderConfig{});
+    receiver.set_sender(&sender);
+    for (uint64_t seq = 0; seq < kPackets; ++seq) {
+      const PacketRef ref = pool.Acquire();
+      Packet& pkt = pool.Get(ref);
+      pkt = Packet{};
+      pkt.seq = seq;
+      pkt.size_bytes = 1500;
+      pkt.route = &route;
+      links[0]->Accept(ref);
+    }
+
+    // The last link serves its last packet at this time (the links pipeline,
+    // each hop adding its propagation and one service time).
+    const TimeNs last_served = static_cast<TimeNs>(hops - 1) * Milliseconds(5) +
+                               static_cast<TimeNs>(kPackets + hops - 1) * Microseconds(120);
+    size_t first_wire_max = 0;
+    while (events.pending() > 0) {
+      const TimeNs before = events.now();
+      events.RunUntil(before + Microseconds(10));
+      EXPECT_EQ(links.back()->wire_packets(), 0u);
+      first_wire_max = std::max(first_wire_max, links.front()->wire_packets());
+      if (before < last_served && events.now() >= last_served) {
+        EXPECT_EQ(receiver.received_bytes(), kPackets * 1500);
+      } else if (events.now() < last_served) {
+        EXPECT_LT(receiver.received_bytes(), kPackets * 1500);
+      }
+    }
+    EXPECT_EQ(first_wire_max > 0, hops > 1);
+    EXPECT_EQ(receiver.received_bytes(), kPackets * 1500);
+    EXPECT_EQ(events.executed(), kPackets * (hops + (hops - 1) + 1));
+    EXPECT_EQ(pool.live(), 0u);
+  }
+}
+
 // Regression: the receiver's delayed ACK used to capture a raw Sender*, so
 // destroying a sender with ACKs still in flight (mid-simulation teardown)
 // dereferenced freed memory when those events later fired. ~Sender now

@@ -496,6 +496,23 @@ TEST(EventQueueTest, DelayLineRingWrapsAndGrowsInFifoOrder) {
   EXPECT_EQ(q.executed(), next);
 }
 
+// Push() with an extra delay stays FIFO only while no item is due before the
+// one pushed ahead of it; one that would be is a checked error, not a silent
+// reorder. An equal due time is fine: the reserved seq orders the pair.
+TEST(EventQueueTest, DelayLinePushDueBeforeItsTailIsFatal) {
+  EventQueue q;
+  std::vector<uint64_t> log;
+  LineLog sink{&log};
+  TestLine line(&q, &sink, Milliseconds(5));
+  line.Push(1, Milliseconds(2));
+  line.Push(2, Milliseconds(2));
+  q.RunUntil(Milliseconds(1));
+  line.Push(3, Milliseconds(1));  // due at 7 ms, with item 2
+  EXPECT_DEATH(line.Push(4), "CHECK failed");  // due at 6 ms, before item 3
+  q.RunAll();
+  EXPECT_EQ(log, (std::vector<uint64_t>{1, 2, 3}));
+}
+
 // A line destroyed with items in flight drops its head entry, and a plain
 // timer destroyed while armed drops its entry: nothing of either runs
 // afterwards and pending() no longer counts them.

@@ -103,6 +103,8 @@ TEST(SimScaleTest, PoolGaugesPublishedAfterRun) {
   EXPECT_GT(metrics.GetGauge("sim.pool.packets_capacity").Value(), 0.0);
   EXPECT_GT(metrics.GetGauge("sim.pool.packets_recycled_total").Value(), 0.0);
   EXPECT_GT(metrics.GetGauge("sim.sched.timers").Value(), 0.0);
+  EXPECT_EQ(metrics.GetGauge("sim.sched.events_total").Value(),
+            static_cast<double>(scenario.network().events().executed()));
   EXPECT_EQ(metrics.GetGauge("sim.pool.packets_live").Value(), 0.0);
 }
 
